@@ -686,7 +686,13 @@ impl UtilizationTracker {
 
     /// Creates a tracker sampling at `interval` (drivers schedule the
     /// sampling events; the tracker only stores values).
+    ///
+    /// # Panics
+    ///
+    /// If `interval` is zero: a sampler rescheduling itself at +0 would
+    /// never let simulated time advance.
     pub fn new(interval: SimDuration) -> Self {
+        assert!(!interval.is_zero(), "utilization interval must be positive");
         UtilizationTracker {
             interval,
             // Pre-sized so early samples stay off the allocator (the
@@ -840,6 +846,12 @@ mod tests {
         assert_eq!(t.max().unwrap(), 1.0);
         assert_eq!(t.samples().len(), 5);
         assert_eq!(t.interval(), SimDuration::from_secs(100));
+    }
+
+    #[test]
+    #[should_panic(expected = "utilization interval must be positive")]
+    fn utilization_tracker_rejects_zero_interval() {
+        UtilizationTracker::new(SimDuration::ZERO);
     }
 
     #[test]

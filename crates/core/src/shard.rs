@@ -1247,7 +1247,9 @@ pub struct ShardedDriver<'t> {
     workers: usize,
     nodes: usize,
     cutoff: Cutoff,
-    util_interval: SimDuration,
+    /// Empty until report time; built up front so a zero sampling
+    /// interval is rejected before any shard runs.
+    util: UtilizationTracker,
     stats: ShardedStats,
     /// Shared admission plan (also cloned into every shard); kept here
     /// for the report-time outcome counters.
@@ -1267,6 +1269,7 @@ impl<'t> ShardedDriver<'t> {
     /// when any shard pair's minimum message delay is zero —
     /// conservative parallel execution requires positive lookahead.
     pub fn new(trace: &'t Trace, scheduler: Arc<dyn Scheduler>, sim: &SimConfig) -> Self {
+        let util = UtilizationTracker::new(sim.util_interval);
         let spec = sim.topology_spec();
         let rack_geometry = spec.rack_geometry();
         let align = ShardMap::pick_align(sim.nodes, sim.shards.max(1), rack_geometry);
@@ -1461,7 +1464,7 @@ impl<'t> ShardedDriver<'t> {
             workers: worker_budget().clamp(1, shards),
             nodes: sim.nodes,
             cutoff: sim.cutoff,
-            util_interval: sim.util_interval,
+            util,
             stats: ShardedStats::default(),
             admission,
         }
@@ -1580,7 +1583,7 @@ impl<'t> ShardedDriver<'t> {
         // so sample i exists in all shards (truncate defensively) and
         // the cluster-wide ratio is the summed numerator over the
         // summed usable capacity of the owned slices.
-        let mut util = UtilizationTracker::new(self.util_interval);
+        let mut util = self.util;
         let sample_count = self
             .shards
             .iter()

@@ -119,28 +119,6 @@ impl<E: Copy> Engine<E> {
         Some((t, ev))
     }
 
-    /// Removes every event firing at or before `until`, in order, advancing
-    /// the clock exactly as repeated [`Engine::pop`] calls would: to the
-    /// firing time of the last drained event (unchanged when nothing is
-    /// due).
-    ///
-    /// This is the batch-pop path for drivers that process a bounded time
-    /// window at once (e.g. sampling loops, co-simulation adapters): one
-    /// call replaces a `while let` loop of peek/pop pairs.
-    ///
-    /// Only safe when handling the drained events schedules no *new* event
-    /// at or before `until` — otherwise the batch would miss it where
-    /// repeated pops would not. Callers that schedule zero-delay follow-ups
-    /// must use [`Engine::pop`].
-    pub fn drain_until(&mut self, until: SimTime) -> Vec<(SimTime, E)> {
-        let drained = self.queue.drain_until(until);
-        if let Some(&(t, _)) = drained.last() {
-            self.now = t;
-        }
-        self.processed += drained.len() as u64;
-        drained
-    }
-
     /// The firing time of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
@@ -275,33 +253,6 @@ mod tests {
         e.try_schedule_at(SimTime::from_secs(3), 3).unwrap();
         assert_eq!(e.pop().unwrap(), (SimTime::from_secs(2), 2));
         assert_eq!(e.pop().unwrap(), (SimTime::from_secs(3), 3));
-    }
-
-    #[test]
-    fn drain_until_matches_repeated_pops() {
-        let mut batch: Engine<u32> = Engine::new();
-        let mut single: Engine<u32> = Engine::new();
-        for e in [&mut batch, &mut single] {
-            e.schedule(SimDuration::from_secs(1), 1);
-            e.schedule(SimDuration::from_secs(2), 2);
-            e.schedule(SimDuration::from_secs(2), 3);
-            e.schedule(SimDuration::from_secs(5), 4);
-        }
-        let until = SimTime::from_secs(2);
-        let drained = batch.drain_until(until);
-        let mut reference = Vec::new();
-        while single.peek_time().is_some_and(|t| t <= until) {
-            reference.push(single.pop().unwrap());
-        }
-        assert_eq!(drained, reference);
-        assert_eq!(batch.now(), single.now());
-        assert_eq!(batch.processed(), single.processed());
-        assert_eq!(batch.pending(), 1);
-        // An empty drain leaves the clock untouched.
-        assert!(batch.drain_until(SimTime::from_secs(3)).is_empty());
-        assert_eq!(batch.now(), SimTime::from_secs(2));
-        assert_eq!(batch.drain_until(SimTime::MAX).len(), 1);
-        assert_eq!(batch.now(), SimTime::from_secs(5));
     }
 
     #[test]

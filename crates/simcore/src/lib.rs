@@ -5,7 +5,8 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — an integer microsecond clock, exact and
 //!   totally ordered (no floating-point tie ambiguity).
-//! * [`EventQueue`] and [`Engine`] — a binary-heap future event list with a
+//! * [`EventQueue`] and [`Engine`] — a timing-wheel future event list, with
+//!   a sorted lane in front for fixed-delay network hops, and a
 //!   deterministic FIFO tie-break for simultaneous events.
 //! * [`SimRng`] — a small, fully deterministic xoshiro256++ generator with
 //!   the distributions the paper needs (uniform, exponential, Gaussian,

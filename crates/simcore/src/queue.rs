@@ -28,6 +28,28 @@
 //! Each event cascades at most six times, so the amortized cost per event
 //! is constant.
 //!
+//! # The hop lane
+//!
+//! Most events in this simulator are network hops (probes, bind requests
+//! and responses, placements), each charged one fixed one-way delay, so they
+//! are pushed in non-decreasing time order. A hop of 0.5 ms is past level
+//! 0's 128 µs span: the wheel would write it at level 1, cascade it down and
+//! read it again. Instead, a push joins the *lane* — a ring buffer of
+//! `(time, seq, event)` — when it keeps the lane sorted (it fires no
+//! earlier than the lane's tail) and fires within the level-1 span
+//! (`128^2` µs) of the cursor. Every other push goes to the wheel.
+//!
+//! `pop` takes whichever of the lane head and the wheel's earliest entry is
+//! smaller by exact `(time, seq)`. When level 0 is empty, the start of the
+//! earliest higher-level bucket's window bounds every wheel entry from
+//! below, so the wheel cascades only when that window starts at or before
+//! the lane head. Lane pops leave the cursor alone, so the wheel's
+//! placement invariants never see the lane. Every pop therefore returns the
+//! pending minimum by `(time, seq)`, and the pop order is exactly the one
+//! the wheel alone would give.
+//!
+//! # Edges
+//!
 //! Two small binary heaps catch the edges the wheel does not cover:
 //!
 //! * `past` — events pushed with a time before the cursor. [`Engine`]
@@ -35,12 +57,14 @@
 //!   bare `EventQueue` accepts them, exactly as the heap implementation
 //!   did.
 //! * `overflow` — events more than `128^7` µs (≈ 17 simulated years) beyond
-//!   the cursor. They re-enter the wheel when the cursor approaches.
+//!   the cursor. They re-enter the wheel when the cursor approaches. The
+//!   lane holds no such bound, so an empty wheel compares the lane head
+//!   with the overflow minimum before jumping the cursor.
 //!
 //! [`Engine`]: crate::Engine
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::slab::EntrySlab;
 use crate::time::SimTime;
@@ -57,6 +81,10 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 /// +0.5 ms network hop lands one level up, a task-finish timer at most
 /// four.
 const LEVELS: usize = 7;
+
+/// The hop lane admits pushes firing less than this many µs past the
+/// cursor: the span of level 1 (128 buckets of 128 µs).
+const LANE_SPAN: u64 = 1 << (2 * LEVEL_BITS);
 
 /// A pending event in the `past`/`overflow` heaps: fires at `time`; `seq`
 /// breaks ties FIFO.
@@ -128,8 +156,13 @@ pub struct EventQueue<E> {
     /// Per-level bitmap of non-empty buckets.
     occupied: [u128; LEVELS],
     /// The wheel floor: the firing time (µs) of the last event popped from
-    /// the wheel. Every wheel entry fires at or after this time.
+    /// the wheel. Every wheel and lane entry fires at or after this time.
     cursor: u64,
+    /// The hop lane: entries in `(time, seq)` order, all within
+    /// [`LANE_SPAN`] of the cursor when pushed. Not pre-reserved: a ring
+    /// touches all of its capacity, so it grows to the in-flight peak
+    /// during warm-up instead.
+    lane: VecDeque<Entry<E>>,
     /// Events pushed with a firing time before the cursor.
     past: BinaryHeap<Scheduled<E>>,
     /// Events beyond the wheel span; strictly later than every wheel entry.
@@ -157,6 +190,7 @@ impl<E: Copy> EventQueue<E> {
             wheel: EntrySlab::new(LEVELS * SLOTS),
             occupied: [0; LEVELS],
             cursor: 0,
+            lane: VecDeque::new(),
             past: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             len: 0,
@@ -166,7 +200,8 @@ impl<E: Copy> EventQueue<E> {
 
     /// Creates an empty queue with the bucket arena pre-warmed for
     /// `capacity` simultaneously pending events, so a simulation whose
-    /// pending population stays under it never grows the wheel.
+    /// pending population stays under it never grows the wheel. The hop
+    /// lane is left to grow to its own peak during warm-up.
     pub fn with_capacity(capacity: usize) -> Self {
         let mut q = Self::new();
         q.wheel.reserve_nodes(capacity);
@@ -181,9 +216,27 @@ impl<E: Copy> EventQueue<E> {
         let t = time.as_micros();
         if t < self.cursor {
             self.past.push(Scheduled { time, seq, event });
+        } else if t - self.cursor < LANE_SPAN && self.lane.back().is_none_or(|&(b, _, _)| b <= t) {
+            self.lane.push_back((t, seq, event));
         } else {
             self.place(t, seq, event);
         }
+    }
+
+    /// The start (µs) of the window of bucket `slot` at `level >= 1`: every
+    /// entry of that bucket fires at or after it, and every entry of a
+    /// later bucket or a higher level fires after it. Entries at `level`
+    /// share all digits above `level` with the cursor.
+    fn window_start(&self, level: usize, slot: usize) -> u64 {
+        let shift = LEVEL_BITS * level as u32;
+        let above = shift + LEVEL_BITS;
+        (self.cursor >> above << above) | ((slot as u64) << shift)
+    }
+
+    /// Pops the lane head. The cursor stays put: it tracks the wheel only.
+    fn pop_lane(&mut self) -> Option<(SimTime, E)> {
+        let (t, _, event) = self.lane.pop_front().expect("lane head exists");
+        Some((SimTime::from_micros(t), event))
     }
 
     /// Buckets an entry with `t >= cursor` into the wheel, or the overflow
@@ -250,19 +303,23 @@ impl<E: Copy> EventQueue<E> {
         }
         self.len -= 1;
         // Past events fire strictly before the cursor, and so before every
-        // wheel or overflow entry.
+        // lane, wheel or overflow entry.
         if let Some(s) = self.past.pop() {
             return Some((s.time, s.event));
         }
         loop {
+            let lane = self.lane.front().map(|&(t, seq, _)| (t, seq));
             // Fast path: a level-0 bucket holds events of one exact
-            // microsecond, already in seq order.
+            // microsecond, already in seq order; its head is the wheel's
+            // earliest entry.
             if self.occupied[0] != 0 {
                 let slot = self.occupied[0].trailing_zeros() as usize;
-                let (t, _, event) = self
-                    .wheel
-                    .pop_front(slot)
-                    .expect("occupied bucket is non-empty");
+                let head = self.wheel.head(slot).expect("occupied bucket is non-empty");
+                let &(t, seq, _) = self.wheel.value(head);
+                if lane.is_some_and(|l| l < (t, seq)) {
+                    return self.pop_lane();
+                }
+                let (t, _, event) = self.wheel.pop_front(slot).expect("head exists");
                 if self.wheel.is_empty(slot) {
                     self.occupied[0] &= !(1 << slot);
                 }
@@ -272,20 +329,19 @@ impl<E: Copy> EventQueue<E> {
             // Cascade the earliest bucket of the lowest occupied level down
             // to finer levels (in order, so FIFO ties are preserved): pop
             // each node and re-place it — nodes recycle through the slab's
-            // free list, so cascading allocates nothing.
+            // free list, so cascading allocates nothing. Its window start
+            // bounds the whole wheel from below, so a lane head before it
+            // pops without cascading.
             if let Some(level) = (1..LEVELS).find(|&l| self.occupied[l] != 0) {
                 let slot = self.occupied[level].trailing_zeros() as usize;
+                let window_start = self.window_start(level, slot);
+                if lane.is_some_and(|(lt, _)| lt < window_start) {
+                    return self.pop_lane();
+                }
                 self.occupied[level] &= !(1 << slot);
                 let bucket = level * SLOTS + slot;
-                // Advance the cursor to the bucket's window start so the
+                // Advance the cursor to the window start so the
                 // redistribution lands below `level`.
-                let span = 1u64 << (LEVEL_BITS * level as u32);
-                let (first_t, _, _) = self
-                    .wheel
-                    .iter(bucket)
-                    .next()
-                    .expect("occupied bucket is non-empty");
-                let window_start = first_t & !(span - 1);
                 debug_assert!(window_start >= self.cursor);
                 self.cursor = window_start;
                 while let Some((t, seq, event)) = self.wheel.pop_front(bucket) {
@@ -293,53 +349,17 @@ impl<E: Copy> EventQueue<E> {
                 }
                 continue;
             }
-            // Wheel drained: jump to the overflow minimum and refill.
-            let next = self
-                .overflow
-                .peek()
-                .expect("len > 0 with empty past and wheel implies overflow events")
-                .time
-                .as_micros();
+            // Wheel drained: the overflow minimum may still precede the
+            // lane head. If so, jump the cursor to it and refill.
+            let next = match (lane, self.overflow.peek()) {
+                (Some(l), Some(o)) if (o.time.as_micros(), o.seq) < l => o.time.as_micros(),
+                (Some(_), _) => return self.pop_lane(),
+                (None, Some(o)) => o.time.as_micros(),
+                (None, None) => unreachable!("len > 0 with nothing pending"),
+            };
             self.cursor = next;
             self.rebucket_overflow();
         }
-    }
-
-    /// Removes and returns every event firing at or before `until`, in
-    /// `(time, seq)` order — exactly the events repeated [`EventQueue::pop`]
-    /// calls would yield while their firing time is `<= until`.
-    ///
-    /// Batching: after each pop, the rest of the popped event's level-0
-    /// bucket (every event at the same exact microsecond, already in FIFO
-    /// order) is taken in one sweep, so same-time bursts — the common case
-    /// in this simulator, where one job's probes all land together — skip
-    /// the per-event level scan entirely.
-    pub fn drain_until(&mut self, until: SimTime) -> Vec<(SimTime, E)> {
-        let mut out = Vec::new();
-        while self.peek_time().is_some_and(|t| t <= until) {
-            let (t, event) = self.pop().expect("peeked event exists");
-            out.push((t, event));
-            // Same-microsecond fast path. Applies only when the pop came
-            // from the wheel (`cursor == t`; past-heap pops leave the
-            // cursor ahead of `t`, where the slot index would alias a
-            // different window) and no past events remain to interleave.
-            // Then the level-0 bucket for `t` holds exactly the remaining
-            // events at `t` (the wheel invariant: level-0 buckets within
-            // the current window are single-microsecond), all due.
-            if t.as_micros() != self.cursor || !self.past.is_empty() {
-                continue;
-            }
-            let slot = (t.as_micros() & (SLOTS as u64 - 1)) as usize;
-            if self.occupied[0] & (1 << slot) != 0 {
-                while let Some((bt, _, event)) = self.wheel.pop_front(slot) {
-                    debug_assert_eq!(bt, t.as_micros());
-                    self.len -= 1;
-                    out.push((SimTime::from_micros(bt), event));
-                }
-                self.occupied[0] &= !(1 << slot);
-            }
-        }
-        out
     }
 
     /// Returns the firing time of the earliest event without removing it.
@@ -347,29 +367,29 @@ impl<E: Copy> EventQueue<E> {
         if let Some(s) = self.past.peek() {
             return Some(s.time);
         }
-        if self.occupied[0] != 0 {
+        let lane = self.lane.front().map(|&(t, _, _)| t);
+        let wheel = if self.occupied[0] != 0 {
             let slot = self.occupied[0].trailing_zeros() as usize;
-            return self
-                .wheel
-                .iter(slot)
-                .next()
-                .map(|&(t, _, _)| SimTime::from_micros(t));
-        }
-        for level in 1..LEVELS {
-            if self.occupied[level] == 0 {
-                continue;
-            }
+            self.wheel.iter(slot).next().map(|&(t, _, _)| t)
+        } else if let Some(level) = (1..LEVELS).find(|&l| self.occupied[l] != 0) {
             let slot = self.occupied[level].trailing_zeros() as usize;
+            if lane.is_some_and(|lt| lt < self.window_start(level, slot)) {
+                return lane.map(SimTime::from_micros);
+            }
             // Higher-level buckets are seq-ordered, not time-ordered; the
-            // earliest firing time needs a scan. Peeking is off the hot
-            // path (the engine's pop never calls it).
-            return self
-                .wheel
+            // earliest firing time needs a scan.
+            self.wheel
                 .iter(level * SLOTS + slot)
-                .map(|&(t, _, _)| SimTime::from_micros(t))
-                .min();
+                .map(|&(t, _, _)| t)
+                .min()
+        } else {
+            self.overflow.peek().map(|s| s.time.as_micros())
+        };
+        match (lane, wheel) {
+            (Some(l), Some(w)) => Some(l.min(w)),
+            (l, w) => l.or(w),
         }
-        self.overflow.peek().map(|s| s.time)
+        .map(SimTime::from_micros)
     }
 
     /// Returns the number of pending events.
@@ -495,38 +515,73 @@ mod tests {
     }
 
     #[test]
-    fn drain_until_matches_repeated_pop() {
-        let times = [9u64, 2, 2, 7, 4, 4, 4, 30, 1];
-        let build = || {
-            let mut q = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                q.push(SimTime::from_micros(t), i);
-            }
-            q
-        };
-        let mut drained = build();
-        let mut popped = build();
-        let until = SimTime::from_micros(7);
-        let batch = drained.drain_until(until);
-        let mut reference = Vec::new();
-        while popped.peek_time().is_some_and(|t| t <= until) {
-            reference.push(popped.pop().unwrap());
-        }
-        assert_eq!(batch, reference);
-        assert_eq!(batch.len(), 7);
-        assert_eq!(drained.len(), 2);
-        // The remainder still pops in order.
-        assert_eq!(drained.pop().unwrap().1, 0);
-        assert_eq!(drained.pop().unwrap().1, 7);
+    fn sorted_near_pushes_take_the_lane() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_micros(500), 0);
+        q.push(SimTime::from_micros(500), 1);
+        q.push(SimTime::from_micros(900), 2);
+        // Out of lane order, and beyond the lane span: both to the wheel.
+        q.push(SimTime::from_micros(600), 3);
+        q.push(SimTime::from_micros(LANE_SPAN), 4);
+        assert_eq!(q.lane.len(), 3);
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(500)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![0, 1, 3, 2, 4]);
     }
 
     #[test]
-    fn drain_until_on_empty_and_past_only() {
-        let mut q: EventQueue<u8> = EventQueue::new();
-        assert!(q.drain_until(SimTime::from_secs(1)).is_empty());
-        q.push(SimTime::from_secs(5), 1);
-        assert!(q.drain_until(SimTime::from_secs(4)).is_empty());
-        assert_eq!(q.len(), 1);
+    fn lane_and_level_zero_ties_pop_by_seq() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_micros(50), "lane-50");
+        q.push(SimTime::from_micros(90), "lane-90");
+        // Behind the lane tail: level 0 of the wheel.
+        q.push(SimTime::from_micros(50), "wheel-50");
+        q.push(SimTime::from_micros(60), "wheel-60");
+        q.push(SimTime::from_micros(90), "lane-90b");
+        assert_eq!(q.lane.len(), 3);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(
+            order,
+            vec!["lane-50", "wheel-50", "wheel-60", "lane-90", "lane-90b"]
+        );
+    }
+
+    #[test]
+    fn lane_head_at_a_window_start_waits_for_the_cascade() {
+        // `early` lands at level 2 (beyond the lane span from cursor 0);
+        // after the cursor moves to 100, `late` fires at the same time,
+        // joins the lane, and must pop after `early` (smaller seq).
+        let w = LANE_SPAN;
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_micros(w), "early");
+        q.push(SimTime::from_micros(200), "lane-200");
+        q.push(SimTime::from_micros(100), "wheel-100");
+        assert_eq!(q.pop().unwrap().1, "wheel-100");
+        q.push(SimTime::from_micros(w), "late");
+        assert_eq!(q.lane.len(), 2);
+        assert_eq!(q.pop().unwrap().1, "lane-200");
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(w)));
+        assert_eq!(q.pop().unwrap(), (SimTime::from_micros(w), "early"));
+        assert_eq!(q.pop().unwrap(), (SimTime::from_micros(w), "late"));
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn overflow_entry_before_the_lane_head_pops_first() {
+        // With the cursor just below 2^49, a push a few µs later crosses
+        // the wheel's span boundary into overflow, while the lane takes a
+        // later push (the lane is not bounded by the wheel's span).
+        let edge = 1u64 << 49;
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_micros(edge - 10), "wheel");
+        assert_eq!(q.pop().unwrap().1, "wheel");
+        q.push(SimTime::from_micros(edge + 100), "lane");
+        q.push(SimTime::from_micros(edge + 5), "overflow");
+        assert_eq!(q.overflow.len(), 1);
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(edge + 5)));
+        assert_eq!(q.pop().unwrap().1, "overflow");
+        assert_eq!(q.pop().unwrap().1, "lane");
+        assert!(q.pop().is_none());
     }
 
     #[test]

@@ -5,6 +5,10 @@ use proptest::prelude::*;
 use hawk_simcore::stats::{cdf, cdf_at, percentile};
 use hawk_simcore::{Engine, EventQueue, IndexedMinHeap, SimDuration, SimRng, SimTime};
 
+/// The fixed one-way delay of a `Hop` op: the paper's 0.5 ms network hop,
+/// which the queue's hop lane serves when pushes stay sorted.
+const HOP: u64 = 500;
+
 /// One step of a generated queue workload.
 #[derive(Debug, Clone)]
 enum QueueOp {
@@ -12,27 +16,47 @@ enum QueueOp {
     /// every wheel path (same-µs buckets, near future, cascade range,
     /// beyond-span overflow).
     Push(u64),
+    /// Schedule an event `HOP` µs past the last popped time: the hop-lane
+    /// pattern, and a wheel entry whenever the lane tail is later.
+    Hop,
     Pop,
+    Peek,
 }
 
 fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
-    let op = (0u8..4, 0u64..4, 0u64..200).prop_map(|(kind, era, fine)| {
-        if kind == 0 {
-            QueueOp::Pop
-        } else {
-            // Eras: exact-tie region, one-bucket region, cascade region,
-            // overflow region (beyond the wheel span of 2^49 µs).
-            let base = [0u64, 1 << 10, 1 << 30, 1 << 55][era as usize];
-            QueueOp::Push(base + fine)
+    let op = (0u8..6, 0usize..8, 0u64..200).prop_map(|(kind, era, fine)| match kind {
+        0 => QueueOp::Pop,
+        1 => QueueOp::Peek,
+        2 => QueueOp::Hop,
+        _ => {
+            // Eras as (base, width): exact-tie region, one-bucket region,
+            // cascade region, overflow region (beyond the wheel span of
+            // 2^49 µs), then narrow eras that line pushes up with `Hop`s
+            // and bucket windows: one hop past the origin, the lane span
+            // (a level-2 window start a later push can tie in the lane),
+            // one hop before the 2^49 µs boundary (lane entries past it,
+            // overflow entries before them) and just past it.
+            let (base, width) = [
+                (0, 200),
+                (1 << 10, 200),
+                (1 << 30, 200),
+                (1 << 55, 200),
+                (HOP, 8),
+                (1 << 14, 8),
+                ((1 << 49) - HOP, 8),
+                (1 << 49, 8),
+            ][era];
+            QueueOp::Push(base + fine % width)
         }
     });
     proptest::collection::vec(op, 1..300)
 }
 
 proptest! {
-    /// The timing-wheel queue pops every pending event in (time, seq)
-    /// order under arbitrary interleaved schedule/pop sequences, matching
-    /// a naive sort-based model exactly. Push times are clamped to the
+    /// The timing-wheel queue, with its hop lane, pops every pending
+    /// event in (time, seq) order and peeks the earliest time under
+    /// arbitrary interleaved schedule/hop/pop/peek sequences, matching a
+    /// naive sort-based model exactly. Push times are clamped to the
     /// engine's monotone regime (never before the last pop), like
     /// `Engine::schedule_at` guarantees.
     #[test]
@@ -44,11 +68,16 @@ proptest! {
         let mut last: Option<(u64, u64)> = None;
         for op in ops {
             match op {
-                QueueOp::Push(t) => {
-                    let t = t.max(floor);
+                QueueOp::Push(_) | QueueOp::Hop => {
+                    let t = if let QueueOp::Push(t) = op { t.max(floor) } else { floor + HOP };
                     q.push(SimTime::from_micros(t), seq);
                     model.push((t, seq));
                     seq += 1;
+                }
+                QueueOp::Peek => {
+                    let expect = model.iter().map(|&(t, _)| t).min();
+                    prop_assert_eq!(q.peek_time().map(SimTime::as_micros), expect);
+                    prop_assert_eq!(q.len(), model.len());
                 }
                 QueueOp::Pop => {
                     let expect = model.iter().copied().min();
@@ -76,43 +105,6 @@ proptest! {
         }
         prop_assert!(q.pop().is_none());
         prop_assert_eq!(q.len(), 0);
-    }
-
-    /// `drain_until(t)` returns exactly what repeated `pop` calls bounded
-    /// by `t` would, leaves the same remainder behind, and advances the
-    /// engine clock identically.
-    #[test]
-    fn drain_until_equals_repeated_pop(
-        times in proptest::collection::vec(0u64..5_000, 1..120),
-        cut in 0u64..5_000,
-    ) {
-        let build = |times: &[u64]| {
-            let mut e: Engine<usize> = Engine::new();
-            for (i, &t) in times.iter().enumerate() {
-                e.schedule_at(SimTime::from_micros(t), i);
-            }
-            e
-        };
-        let mut batch = build(&times);
-        let mut single = build(&times);
-        let until = SimTime::from_micros(cut);
-        let drained = batch.drain_until(until);
-        let mut expect = Vec::new();
-        while single.peek_time().is_some_and(|t| t <= until) {
-            expect.push(single.pop().expect("peeked event exists"));
-        }
-        prop_assert_eq!(&drained, &expect);
-        prop_assert_eq!(batch.now(), single.now());
-        prop_assert_eq!(batch.pending(), single.pending());
-        prop_assert_eq!(batch.processed(), single.processed());
-        // The remainders continue identically.
-        loop {
-            let (a, b) = (batch.pop(), single.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
     }
 
     /// The engine clock is monotone non-decreasing across any schedule of

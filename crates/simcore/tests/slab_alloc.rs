@@ -10,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use hawk_simcore::{BatchPool, EntrySlab};
+use hawk_simcore::{BatchPool, EntrySlab, EventQueue, SimDuration, SimRng, SimTime};
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc) made through the
 /// global allocator. Deallocations are free and not counted.
@@ -130,4 +130,44 @@ fn batch_pool_cycle_is_allocation_free_after_warm_up() {
         0,
         "batch pool allocated on the steady-state path"
     );
+}
+
+/// An `EventQueue` hold loop at a steady population with the simulator's
+/// mix — about 80% fixed 0.5 ms network hops (the hop lane) and 20%
+/// task-length timers (the wheel) — allocates nothing once the lane and
+/// the wheel have reached their peaks.
+#[test]
+fn event_queue_hop_timer_hold_loop_is_allocation_free_after_warm_up() {
+    const POPULATION: u64 = 1_000;
+    fn delay(rng: &mut SimRng) -> SimDuration {
+        SimDuration::from_micros(if rng.index(5) == 0 {
+            rng.gen_range(1_000, 100_000)
+        } else {
+            500
+        })
+    }
+    fn hold(q: &mut EventQueue<u64>, rng: &mut SimRng) {
+        let (t, event) = q.pop().expect("the population is constant");
+        q.push(t + delay(rng), event);
+    }
+
+    let mut rng = SimRng::seed_from_u64(7);
+    let mut q = EventQueue::new();
+    for event in 0..POPULATION {
+        q.push(SimTime::ZERO + delay(&mut rng), event);
+    }
+    for _ in 0..200_000 {
+        hold(&mut q, &mut rng);
+    }
+
+    let before = allocations();
+    for _ in 0..50_000 {
+        hold(&mut q, &mut rng);
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "event queue allocated on the steady-state path"
+    );
+    assert_eq!(q.len(), POPULATION as usize);
 }

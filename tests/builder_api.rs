@@ -165,3 +165,21 @@ fn sweep_scales_across_heterogeneous_policies() {
     }
     assert!(results.get("blind-single-probe", 96).is_some());
 }
+
+/// A zero sampling interval would reschedule the utilization sampler at
+/// +0 forever; the cell is rejected before it runs instead.
+#[test]
+#[should_panic(expected = "utilization interval must be positive")]
+fn zero_util_interval_is_rejected() {
+    let trace = MotivationConfig {
+        jobs: 20,
+        ..Default::default()
+    }
+    .generate(3);
+    Experiment::builder()
+        .nodes(32)
+        .scheduler(Sparrow::new())
+        .util_interval(SimDuration::ZERO)
+        .trace(trace)
+        .run();
+}
