@@ -204,6 +204,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "utilization interval must be positive")]
+    fn zero_util_interval_is_rejected() {
+        Experiment::builder()
+            .nodes(8)
+            .scheduler(Sparrow::new())
+            .util_interval(SimDuration::ZERO)
+            .trace(tiny_trace())
+            .build()
+            .run_on(&ProtoBackend::deterministic());
+    }
+
+    #[test]
     #[should_panic(expected = "exact estimates")]
     fn misestimation_is_rejected() {
         use hawk_workload::classify::MisestimateRange;

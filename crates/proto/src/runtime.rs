@@ -436,6 +436,12 @@ pub fn run_prototype(
     scheduler: Arc<dyn Scheduler>,
     cfg: &ProtoConfig,
 ) -> ProtoReport {
+    // A zero interval re-arms the virtual sampler at +0 forever and spins
+    // the threaded sampler on `sleep(0)`; reject it like the simulators.
+    assert!(
+        !cfg.util_interval.is_zero(),
+        "utilization interval must be positive"
+    );
     if cfg.mode == ExecutionMode::RealTime {
         assert!(
             !cfg.faults.injects() && cfg.faults.timeouts.is_none(),
@@ -1169,6 +1175,16 @@ mod tests {
             Some(1.0),
             "a down idle worker must leave the usable-capacity denominator"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "utilization interval must be positive")]
+    fn zero_util_interval_is_rejected_in_real_time() {
+        let cfg = ProtoConfig {
+            util_interval: SimDuration::ZERO,
+            ..fast_cfg(ExecutionMode::RealTime)
+        };
+        run_prototype(&fast_trace(vec![(0, vec![5])]), hawk(), &cfg);
     }
 
     #[test]

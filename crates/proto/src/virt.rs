@@ -10,9 +10,10 @@
 //! prototype usable as a reproducible [`Backend`](hawk_core::Backend)
 //! next to the simulator.
 //!
-//! The router is intentionally *not* the simulator's engine: it delivers
-//! opaque daemon messages (which own heap data like stolen groups), not
-//! `Copy` simulation events, and it models the prototype's real hop
+//! The router shares the simulator's future-event list
+//! ([`hawk_simcore::EventQueue`]) but not its event type: daemon messages
+//! own heap data (stolen groups), so each waits in a recycled slot and the
+//! queue carries its `u32` handle. It models the prototype's real hop
 //! structure — submissions land at a scheduler daemon which then probes,
 //! binds round-trip through the owning scheduler, and steals cost a
 //! request/reply exchange. The conformance harness checks the two
@@ -25,12 +26,9 @@
 //! a contended fat tree observes an identical query protocol under both
 //! backends.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use hawk_cluster::ServerId;
 use hawk_net::{Endpoint, Topology};
-use hawk_simcore::{SimDuration, SimTime};
+use hawk_simcore::{EventQueue, SimDuration, SimTime};
 use hawk_workload::scenario::NodeChange;
 use hawk_workload::{JobId, Trace};
 
@@ -59,39 +57,19 @@ enum Dest {
     UtilSample,
 }
 
-/// Heap entry: strict `(time, seq)` order — FIFO among equal timestamps.
-struct Timed {
-    at: SimTime,
-    seq: u64,
-    dest: Dest,
-}
-
-impl PartialEq for Timed {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Timed {}
-impl PartialOrd for Timed {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Timed {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
 /// [`Net`] over the router: sends enqueue deliveries at `now + delay`,
 /// timers at `now + occupancy`, completions are recorded on the virtual
 /// clock. The delay of each send is charged by the topology from the
 /// daemon currently executing (`src`) to the recipient.
 struct VirtualNet {
-    queue: BinaryHeap<Timed>,
+    /// Pending deliveries in `(time, push order)` order, as handles into
+    /// `slots`.
+    queue: EventQueue<u32>,
+    /// The deliveries behind the queued handles; `None` once popped.
+    slots: Vec<Option<Dest>>,
+    /// Handles of empty slots, reused before `slots` grows.
+    free: Vec<u32>,
     now: SimTime,
-    seq: u64,
     topology: Box<dyn Topology>,
     /// Endpoint of the daemon whose handler is currently running — set by
     /// the delivery loop before every dispatch, so sends made inside the
@@ -116,9 +94,19 @@ impl VirtualNet {
         if !matches!(dest, Dest::UtilSample) {
             self.pending_work += 1;
         }
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Timed { at, seq, dest });
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            (self.slots.len() - 1) as u32
+        });
+        self.slots[slot as usize] = Some(dest);
+        self.queue.push(at, slot);
+    }
+
+    /// Pops the earliest delivery and frees its slot.
+    fn pop(&mut self) -> Option<(SimTime, Dest)> {
+        let (at, slot) = self.queue.pop()?;
+        self.free.push(slot);
+        Some((at, self.slots[slot as usize].take().expect("slot is full")))
     }
 
     /// Charges one wire message from the current `src` to `dst`: the
@@ -234,9 +222,11 @@ pub(crate) fn run_virtual(
     plan: Option<AdmissionPlan>,
 ) -> ProtoReport {
     let mut net = VirtualNet {
-        queue: BinaryHeap::with_capacity(trace.len() * 4),
+        // Pre-warmed for the seeded submissions, dynamics and sampler.
+        queue: EventQueue::with_capacity(trace.len() + cfg.dynamics.events().len() + 1),
+        slots: Vec::new(),
+        free: Vec::new(),
         now: SimTime::ZERO,
-        seq: 0,
         topology,
         // Overwritten before every handler dispatch; Central is a safe
         // placeholder for the pre-loop seeding (which sends nothing).
@@ -275,7 +265,7 @@ pub(crate) fn run_virtual(
 
     let mut samples = Vec::new();
     while net.completed < trace.len() {
-        let Some(Timed { at, dest, .. }) = net.queue.pop() else {
+        let Some((at, dest)) = net.pop() else {
             panic!(
                 "virtual prototype drained its event queue with {} unfinished jobs",
                 trace.len() - net.completed
@@ -369,6 +359,12 @@ pub(crate) fn run_virtual(
             }
         }
     }
+
+    debug_assert_eq!(
+        net.free.len() + net.queue.len(),
+        net.slots.len(),
+        "every delivery slot is either free or still queued"
+    );
 
     let totals = fold_stats(
         setup.workers.iter().map(|w| w.stats),

@@ -267,6 +267,10 @@ fn rack_first_stealing_concentrates_steals_in_both_backends() {
     }
 }
 
+/// Hawk's exact fault counters on the chaos cell below: `[drops, dups,
+/// retries, timeouts_fired, relaunched, messages]`.
+const CHAOS_HAWK_COUNTERS: [u64; 6] = [977, 508, 9917, 406, 408, 155930];
+
 #[test]
 fn fault_axis_preserves_the_papers_claims() {
     use hawk_core::SimConfig;
@@ -317,6 +321,25 @@ fn fault_axis_preserves_the_papers_claims() {
     assert_eq!(
         hawk, again,
         "faulty conformance run diverged across replays"
+    );
+    // ... and pinned across commits: fault draws happen per message in
+    // delivery order, so a router that reorders deliveries moves these
+    // counters even when both replays agree.
+    let counters = [
+        hawk.drops,
+        hawk.dups,
+        hawk.retries,
+        hawk.timeouts_fired,
+        hawk.relaunched,
+        hawk.messages,
+    ];
+    if std::env::var_os("HAWK_PRINT_DIGESTS").is_some() {
+        println!("chaos Hawk [drops, dups, retries, timeouts_fired, relaunched, messages] = {counters:?}");
+    }
+    assert_eq!(
+        counters, CHAOS_HAWK_COUNTERS,
+        "chaos cell fault counters [drops, dups, retries, timeouts_fired, \
+         relaunched, messages] drifted"
     );
 
     // Claim 1 under faults: Hawk still clearly wins short-job tails.

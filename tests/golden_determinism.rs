@@ -12,6 +12,10 @@
 //! tie-break, a skipped RNG draw, a changed placement — fails these tests
 //! loudly rather than silently shifting every figure.
 //!
+//! Two more pins run the same cell on the deterministic virtual-clock
+//! prototype (`ProtoBackend::deterministic()`): they hold the daemons and
+//! the router's delivery order fixed across commits.
+//!
 //! If a future PR changes scheduler behavior *on purpose*, re-pin the
 //! constants: run with `HAWK_PRINT_DIGESTS=1 cargo test --test
 //! golden_determinism -- --nocapture` and copy the printed values, noting
@@ -20,14 +24,15 @@
 use std::sync::Arc;
 
 use hawk_core::scheduler::{Centralized, Hawk, Scheduler, Sparrow, SplitCluster};
-use hawk_core::{Experiment, MetricsReport};
+use hawk_core::{Backend, Experiment, MetricsReport, SimBackend};
+use hawk_proto::ProtoBackend;
 use hawk_workload::google::{GoogleTraceConfig, GOOGLE_SHORT_PARTITION};
 use hawk_workload::Trace;
 
 mod support;
 use support::{
-    digest_report, CENTRALIZED_DIGEST, GOLDEN_JOBS, GOLDEN_NODES, HAWK_DIGEST, SIM_SEED,
-    SPARROW_DIGEST, SPLIT_CLUSTER_DIGEST, TRACE_SEED,
+    digest_report, CENTRALIZED_DIGEST, GOLDEN_JOBS, GOLDEN_NODES, HAWK_DIGEST, PROTO_HAWK_DIGEST,
+    PROTO_SPARROW_DIGEST, SIM_SEED, SPARROW_DIGEST, SPLIT_CLUSTER_DIGEST, TRACE_SEED,
 };
 
 /// A 10x-scaled Google-like workload: large enough to exercise probing,
@@ -37,17 +42,18 @@ fn golden_trace() -> Arc<Trace> {
     Arc::new(GoogleTraceConfig::with_scale(10, GOLDEN_JOBS).generate(TRACE_SEED))
 }
 
-fn run(scheduler: impl Scheduler + 'static) -> MetricsReport {
+fn run(scheduler: impl Scheduler + 'static, backend: &dyn Backend) -> MetricsReport {
     Experiment::builder()
         .trace(golden_trace())
         .scheduler(scheduler)
         .nodes(GOLDEN_NODES)
         .seed(SIM_SEED)
-        .run()
+        .build()
+        .run_on(backend)
 }
 
-fn check(name: &str, scheduler: impl Scheduler + 'static, pinned: u64) {
-    let report = run(scheduler);
+fn check(name: &str, scheduler: impl Scheduler + 'static, backend: &dyn Backend, pinned: u64) {
+    let report = run(scheduler, backend);
     let digest = digest_report(&report);
     if std::env::var_os("HAWK_PRINT_DIGESTS").is_some() {
         println!("const {name}: u64 = {digest:#018x};");
@@ -64,18 +70,29 @@ fn hawk_digest_pinned() {
     check(
         "HAWK_DIGEST",
         Hawk::new(GOOGLE_SHORT_PARTITION),
+        &SimBackend,
         HAWK_DIGEST,
     );
 }
 
 #[test]
 fn sparrow_digest_pinned() {
-    check("SPARROW_DIGEST", Sparrow::new(), SPARROW_DIGEST);
+    check(
+        "SPARROW_DIGEST",
+        Sparrow::new(),
+        &SimBackend,
+        SPARROW_DIGEST,
+    );
 }
 
 #[test]
 fn centralized_digest_pinned() {
-    check("CENTRALIZED_DIGEST", Centralized::new(), CENTRALIZED_DIGEST);
+    check(
+        "CENTRALIZED_DIGEST",
+        Centralized::new(),
+        &SimBackend,
+        CENTRALIZED_DIGEST,
+    );
 }
 
 #[test]
@@ -83,7 +100,31 @@ fn split_cluster_digest_pinned() {
     check(
         "SPLIT_CLUSTER_DIGEST",
         SplitCluster::new(GOOGLE_SHORT_PARTITION),
+        &SimBackend,
         SPLIT_CLUSTER_DIGEST,
+    );
+}
+
+/// The same golden cell on the deterministic virtual-clock prototype: the
+/// daemons, the router's delivery order and the fault-free message path
+/// are pinned across commits, not only replayed within one.
+#[test]
+fn proto_hawk_digest_pinned() {
+    check(
+        "PROTO_HAWK_DIGEST",
+        Hawk::new(GOOGLE_SHORT_PARTITION),
+        &ProtoBackend::deterministic(),
+        PROTO_HAWK_DIGEST,
+    );
+}
+
+#[test]
+fn proto_sparrow_digest_pinned() {
+    check(
+        "PROTO_SPARROW_DIGEST",
+        Sparrow::new(),
+        &ProtoBackend::deterministic(),
+        PROTO_SPARROW_DIGEST,
     );
 }
 
@@ -128,7 +169,7 @@ fn digest_function_is_stable() {
 /// value; this pins the property, independent of any constant).
 #[test]
 fn repeated_runs_are_bit_identical() {
-    let a = run(Hawk::new(GOOGLE_SHORT_PARTITION));
-    let b = run(Hawk::new(GOOGLE_SHORT_PARTITION));
+    let a = run(Hawk::new(GOOGLE_SHORT_PARTITION), &SimBackend);
+    let b = run(Hawk::new(GOOGLE_SHORT_PARTITION), &SimBackend);
     assert_eq!(digest_report(&a), digest_report(&b));
 }

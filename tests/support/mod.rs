@@ -64,6 +64,15 @@ pub const RACK_ALIGNED_STEAL_HAWK_DIGEST: u64 = 0x3dd368431bb88ffd;
 /// it).
 pub const SATURATION_ADMISSION_HAWK_DIGEST: u64 = 0x3b19acf4efb8442e;
 
+/// Pinned digest: Hawk on the golden cell run by the deterministic
+/// virtual-clock prototype (`ProtoBackend::deterministic()`). The
+/// prototype's own determinism tests replay a cell twice within one
+/// build; this pin also catches a router or daemon change that reorders
+/// deliveries consistently.
+pub const PROTO_HAWK_DIGEST: u64 = 0xfc6d8feebefd33ed;
+/// Pinned digest: Sparrow on the golden cell, virtual-clock prototype.
+pub const PROTO_SPARROW_DIGEST: u64 = 0xaa2e5c4b3ef6624a;
+
 /// The golden cell, described through the scenario layer.
 pub fn golden_scenario() -> ScenarioSpec {
     ScenarioSpec::new(TraceFamily::Google { scale: 10 }, GOLDEN_JOBS)
