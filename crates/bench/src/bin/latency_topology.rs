@@ -143,34 +143,5 @@ fn main() {
         );
     }
 
-    // Sharded epoch observability: the baseline sweep point once more
-    // through the rack-aligned sharded driver with rack-first stealing —
-    // the configuration whose lookahead matrix is derived from this very
-    // topology. The counters are reporting-only (never digested).
-    let sharded = base(&opts)
-        .nodes(nodes)
-        .trace(&trace)
-        .topology(TopologySpec::FatTreeContended(
-            FatTreeParams::default().cross_pod(SimDuration::from_micros(CROSS_POD_US[0])),
-        ))
-        .shards(4)
-        .scheduler(Hawk::new(GOOGLE_SHORT_PARTITION).rack_first_stealing())
-        .build()
-        .run();
-    let stats = sharded
-        .sharded
-        .expect("the sharded driver must report epoch stats");
-    eprintln!(
-        "latency_topology: rack-aligned 4-shard cell: {} epochs, {} merge envelopes, \
-         {} us avg epoch span, rack-local steal rate {}",
-        stats.epochs,
-        stats.merge_envelopes,
-        stats.avg_epoch_span_micros,
-        sharded
-            .network
-            .rack_local_steal_rate()
-            .map(|r| format!("{:.1}%", r * 100.0))
-            .unwrap_or_else(|| "n/a".to_string()),
-    );
     eprintln!("latency_topology: done (absolute runtimes in seconds)");
 }

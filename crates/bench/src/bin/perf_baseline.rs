@@ -28,18 +28,6 @@
 //! perf regression fails the bench the way a broken digest fails the
 //! golden tests. Smoke and custom-parameter runs only report.
 //!
-//! The `hawk-sharded` cells run the same workload through the sharded
-//! driver (`shards = 4`) at 15k / 50k / 100k nodes — the 100k cell is the
-//! headline: twice the paper's largest cluster, beyond what the
-//! single-stream driver is tracked at. Sharded cells are timed at both
-//! `workers = 1` and `workers = 4` (the reports are byte-identical; only
-//! the wall clock may differ), and the `hawk-sharded-rack` cell runs the
-//! 15k workload rack-aligned on the default fat tree with rack-first
-//! stealing — the configuration the per-pair lookahead matrix exists
-//! for. Sharded rows also carry the epoch/merge observability counters
-//! (`epochs`, `merge_envelopes`, `avg_epoch_span_micros`, rack-local
-//! steal rate); these are excluded from golden digests.
-//!
 //! Every row carries a `streaming_max_rel_err` column: the bounded-memory
 //! streaming percentiles cross-checked against the exact sorted reads on
 //! the same report, asserted under the sink's documented ε-rank budget
@@ -70,22 +58,6 @@ const SMOKE_JOBS: usize = 2_000;
 /// The cluster sizes timed, largest last (the headline cell). 50,000 is
 /// the top of the paper's Figure 5 sweep.
 const NODE_CELLS: [usize; 4] = [1_000, 5_000, 15_000, 50_000];
-
-/// The cluster sizes timed through the sharded driver. 100,000 is twice
-/// the paper's largest cluster — the scale the sharded driver exists for.
-const SHARDED_NODE_CELLS: [usize; 3] = [15_000, 50_000, 100_000];
-
-/// Shard count of the `hawk-sharded` cells (worker threads are capped by
-/// the machine's parallelism; the results are worker-count-invariant).
-const SHARDED_SHARDS: usize = 4;
-
-/// Worker-thread counts each sharded cell is timed at. The reports are
-/// byte-identical across the axis (worker-count invariance is a pinned
-/// contract); only the wall clock may move.
-const SHARDED_WORKER_CELLS: [usize; 2] = [1, 4];
-
-/// Cluster size of the rack-aligned sharded fat-tree cell.
-const SHARDED_RACK_NODES: usize = 15_000;
 
 /// Cluster size of the scenario-engine churn cell.
 const CHURN_NODES: usize = 5_000;
@@ -177,32 +149,24 @@ const FLOOR_FRACTION: f64 = 0.75;
 /// above `FLOOR_FRACTION x` these (see [`check_floors`]); re-freeze
 /// deliberately — with a sentence in the PR about what changed — never to
 /// make a red run green.
-/// Sharded floors are keyed by worker count too (the cells are timed at
-/// `workers ∈ {1, 4}`); the sharded values were re-frozen by the
-/// work-claiming epoch-scheduler PR, which replaced the per-epoch
-/// barrier round and roughly doubled sharded throughput.
-fn floor_events_per_sec(scheduler: &str, nodes: usize, workers: usize) -> Option<f64> {
-    match (scheduler, nodes, workers) {
-        ("hawk", 1_000, _) => Some(4_100_000.0),
-        ("hawk", 5_000, _) => Some(4_400_000.0),
-        ("hawk", 15_000, _) => Some(3_500_000.0),
+fn floor_events_per_sec(scheduler: &str, nodes: usize) -> Option<f64> {
+    match (scheduler, nodes) {
+        ("hawk", 1_000) => Some(4_100_000.0),
+        ("hawk", 5_000) => Some(4_400_000.0),
+        ("hawk", 15_000) => Some(3_500_000.0),
         // Re-frozen (was 3.9e6) by the work-claiming scheduler PR: the
         // 50k single-stream cell is the most memory-bound in the file
         // and showed a 2.06–3.67e6 swing across four interleaved full
         // runs on the BENCH container that day — the high end sits at
         // the old floor, so the fast path is intact and the old value
         // flakes on machine state, which a floor must never do.
-        ("hawk", 50_000, _) => Some(2_000_000.0),
-        ("sparrow", 1_000, _) => Some(7_700_000.0),
-        ("sparrow", 5_000, _) => Some(5_300_000.0),
-        ("sparrow", 15_000, _) => Some(5_000_000.0),
-        ("sparrow", 50_000, _) => Some(4_200_000.0),
-        ("hawk-churn", 5_000, _) => Some(3_800_000.0),
-        ("hawk-fat-tree", 5_000, _) => Some(3_700_000.0),
-        ("hawk-sharded", 15_000, _) => Some(1_700_000.0),
-        ("hawk-sharded", 50_000, _) => Some(1_500_000.0),
-        ("hawk-sharded", 100_000, _) => Some(1_600_000.0),
-        ("hawk-sharded-rack", 15_000, _) => Some(2_200_000.0),
+        ("hawk", 50_000) => Some(2_000_000.0),
+        ("sparrow", 1_000) => Some(7_700_000.0),
+        ("sparrow", 5_000) => Some(5_300_000.0),
+        ("sparrow", 15_000) => Some(5_000_000.0),
+        ("sparrow", 50_000) => Some(4_200_000.0),
+        ("hawk-churn", 5_000) => Some(3_800_000.0),
+        ("hawk-fat-tree", 5_000) => Some(3_700_000.0),
         _ => None,
     }
 }
@@ -257,8 +221,6 @@ fn usage() -> ! {
 /// populations are identical and the sink's documented ε-rank bound
 /// ([`StreamingQuantiles::RELATIVE_ERROR`]) must hold — a violation
 /// aborts the bench the way a broken digest fails the golden tests.
-/// Sharded cells read merged shard-local sinks, so the column also
-/// guards merge transparency at scale.
 fn streaming_max_rel_err(name: &str, report: &MetricsReport) -> f64 {
     let mut max_rel = 0.0f64;
     for (class, summary) in [
@@ -292,8 +254,6 @@ struct CellTiming {
     scheduler: String,
     nodes: usize,
     jobs: usize,
-    shards: usize,
-    workers: usize,
     wall_s: f64,
     events: u64,
     events_per_sec: f64,
@@ -301,11 +261,6 @@ struct CellTiming {
     speedup_vs_pre_rework: Option<f64>,
     floor: Option<f64>,
     vs_floor: Option<f64>,
-    /// Epoch/merge observability for sharded cells (`None` single-stream).
-    sharded: Option<hawk_core::ShardedStats>,
-    /// Fraction of steal transfers that stayed rack-local, where the
-    /// topology classifies racks and any transfer happened.
-    rack_local_steal_rate: Option<f64>,
     /// Max relative error of the streaming percentiles against the exact
     /// sorted reads (see [`streaming_max_rel_err`]); asserted under the
     /// sink's documented budget before the row is recorded.
@@ -326,22 +281,17 @@ fn time_cell(
         scheduler,
         nodes,
         repeats,
-        1,
-        1,
         DynamicsScript::none(),
         SpeedSpec::Uniform,
         None,
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn time_cell_with(
     trace: &Arc<Trace>,
     scheduler: Arc<dyn Scheduler>,
     nodes: usize,
     repeats: usize,
-    shards: usize,
-    workers: usize,
     dynamics: DynamicsScript,
     speeds: SpeedSpec,
     topology: Option<TopologySpec>,
@@ -350,7 +300,6 @@ fn time_cell_with(
         .trace(trace)
         .scheduler_shared(scheduler)
         .nodes(nodes)
-        .shards(shards)
         .dynamics(dynamics)
         .speeds(speeds);
     if let Some(spec) = topology {
@@ -360,60 +309,13 @@ fn time_cell_with(
     let mut best: Option<(f64, MetricsReport)> = None;
     for _ in 0..repeats {
         let start = Instant::now();
-        let report = cell.run_with_workers(workers);
+        let report = cell.run();
         let wall = start.elapsed().as_secs_f64();
         if best.as_ref().is_none_or(|(b, _)| wall < *b) {
             best = Some((wall, report));
         }
     }
     best.expect("repeats >= 1")
-}
-
-/// Builds (and reports on stderr) one sharded cell row, including the
-/// epoch/merge observability counters the sharded driver exposes.
-fn sharded_cell(
-    name: &str,
-    nodes: usize,
-    jobs: usize,
-    workers: usize,
-    wall_s: f64,
-    report: MetricsReport,
-) -> CellTiming {
-    let events_per_sec = report.events as f64 / wall_s.max(1e-9);
-    let streaming_drift = streaming_max_rel_err(name, &report);
-    let stats = report
-        .sharded
-        .expect("sharded cell must report epoch stats");
-    let rack_rate = report.network.rack_local_steal_rate();
-    eprintln!(
-        "  {name} x {nodes:>6} nodes ({SHARDED_SHARDS} shards, {workers} workers): \
-         {wall_s:8.3} s  ({events_per_sec:.2e} events/s, {} steals, {} epochs, \
-         {} merge envelopes, {} us avg epoch span{})",
-        report.steals,
-        stats.epochs,
-        stats.merge_envelopes,
-        stats.avg_epoch_span_micros,
-        rack_rate
-            .map(|r| format!(", {:.1}% rack-local steals", r * 100.0))
-            .unwrap_or_default()
-    );
-    CellTiming {
-        scheduler: name.to_string(),
-        nodes,
-        jobs,
-        shards: SHARDED_SHARDS,
-        workers,
-        wall_s,
-        events: report.events,
-        events_per_sec,
-        steals: report.steals,
-        speedup_vs_pre_rework: None,
-        floor: None,
-        vs_floor: None,
-        sharded: Some(stats),
-        rack_local_steal_rate: rack_rate,
-        streaming_max_rel_err: streaming_drift,
-    }
 }
 
 fn main() {
@@ -426,10 +328,7 @@ fn main() {
     eprintln!(
         "perf_baseline: {jobs} jobs, seed {:#x}, best of {} per cell, \
          cells {NODE_CELLS:?} x {{hawk, sparrow}} + hawk-churn x {CHURN_NODES} \
-         + hawk-fat-tree x {FAT_TREE_NODES} \
-         + hawk-sharded ({SHARDED_SHARDS} shards, workers {SHARDED_WORKER_CELLS:?}) \
-         x {SHARDED_NODE_CELLS:?} + hawk-sharded-rack x {SHARDED_RACK_NODES} \
-         + hawk-live x {CHURN_NODES}",
+         + hawk-fat-tree x {FAT_TREE_NODES} + hawk-live x {CHURN_NODES}",
         opts.seed, opts.repeats
     );
 
@@ -463,8 +362,6 @@ fn main() {
                 scheduler: name,
                 nodes,
                 jobs,
-                shards: 1,
-                workers: 1,
                 wall_s,
                 events: report.events,
                 events_per_sec,
@@ -472,8 +369,6 @@ fn main() {
                 speedup_vs_pre_rework: speedup,
                 floor: None,
                 vs_floor: None,
-                sharded: None,
-                rack_local_steal_rate: None,
                 streaming_max_rel_err: streaming_drift,
             });
         }
@@ -490,8 +385,6 @@ fn main() {
             scheduler,
             CHURN_NODES,
             opts.repeats,
-            1,
-            1,
             churn_dynamics(),
             churn_speeds(),
             None,
@@ -507,8 +400,6 @@ fn main() {
             scheduler: "hawk-churn".to_string(),
             nodes: CHURN_NODES,
             jobs,
-            shards: 1,
-            workers: 1,
             wall_s,
             events: report.events,
             events_per_sec,
@@ -516,8 +407,6 @@ fn main() {
             speedup_vs_pre_rework: None,
             floor: None,
             vs_floor: None,
-            sharded: None,
-            rack_local_steal_rate: None,
             streaming_max_rel_err: streaming_drift,
         });
     }
@@ -534,8 +423,6 @@ fn main() {
             scheduler,
             FAT_TREE_NODES,
             opts.repeats,
-            1,
-            1,
             DynamicsScript::none(),
             SpeedSpec::Uniform,
             Some(TopologySpec::FatTreeContended(FatTreeParams::default())),
@@ -551,8 +438,6 @@ fn main() {
             scheduler: "hawk-fat-tree".to_string(),
             nodes: FAT_TREE_NODES,
             jobs,
-            shards: 1,
-            workers: 1,
             wall_s,
             events: report.events,
             events_per_sec,
@@ -560,71 +445,8 @@ fn main() {
             speedup_vs_pre_rework: None,
             floor: None,
             vs_floor: None,
-            sharded: None,
-            rack_local_steal_rate: None,
             streaming_max_rel_err: streaming_drift,
         });
-    }
-
-    // The sharded-driver cells: the same ~90 %-load Hawk workload pushed
-    // through `ShardedDriver` with a fixed shard count, up to 100k nodes —
-    // twice the paper's largest cluster, at both ends of the worker axis.
-    // Tracks epoch-merge + wire-routing overhead and the scale the
-    // single-stream driver is never timed at.
-    for nodes in SHARDED_NODE_CELLS {
-        let trace = Arc::new(trace_for(nodes, jobs, opts.seed));
-        for workers in SHARDED_WORKER_CELLS {
-            let scheduler: Arc<dyn Scheduler> = Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION));
-            let (wall_s, report) = time_cell_with(
-                &trace,
-                scheduler,
-                nodes,
-                opts.repeats,
-                SHARDED_SHARDS,
-                workers,
-                DynamicsScript::none(),
-                SpeedSpec::Uniform,
-                None,
-            );
-            cells.push(sharded_cell(
-                "hawk-sharded",
-                nodes,
-                jobs,
-                workers,
-                wall_s,
-                report,
-            ));
-        }
-    }
-
-    // The rack-aligned sharded cell: the 15k workload on the default
-    // (uncontended) fat tree with rack-first stealing — whole pods per
-    // shard, per-pair lookahead floors, locality-ordered victim lists.
-    {
-        let trace = Arc::new(trace_for(SHARDED_RACK_NODES, jobs, opts.seed));
-        for workers in SHARDED_WORKER_CELLS {
-            let scheduler: Arc<dyn Scheduler> =
-                Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION).rack_first_stealing());
-            let (wall_s, report) = time_cell_with(
-                &trace,
-                scheduler,
-                SHARDED_RACK_NODES,
-                opts.repeats,
-                SHARDED_SHARDS,
-                workers,
-                DynamicsScript::none(),
-                SpeedSpec::Uniform,
-                Some(TopologySpec::FatTree(FatTreeParams::default())),
-            );
-            cells.push(sharded_cell(
-                "hawk-sharded-rack",
-                SHARDED_RACK_NODES,
-                jobs,
-                workers,
-                wall_s,
-                report,
-            ));
-        }
     }
 
     // The serving-mode cell: the 5k Hawk workload with 60 s live windows,
@@ -644,7 +466,7 @@ fn main() {
         let mut best: Option<(f64, MetricsReport)> = None;
         for _ in 0..opts.repeats {
             let start = Instant::now();
-            let report = cell.run_with_workers(1);
+            let report = cell.run();
             let wall = start.elapsed().as_secs_f64();
             if best.as_ref().is_none_or(|(b, _)| wall < *b) {
                 best = Some((wall, report));
@@ -671,8 +493,6 @@ fn main() {
             scheduler: "hawk-live".to_string(),
             nodes: CHURN_NODES,
             jobs,
-            shards: 1,
-            workers: 1,
             wall_s,
             events: report.events,
             events_per_sec,
@@ -680,14 +500,12 @@ fn main() {
             speedup_vs_pre_rework: None,
             floor: None,
             vs_floor: None,
-            sharded: None,
-            rack_local_steal_rate: None,
             streaming_max_rel_err: streaming_drift,
         });
     }
 
     for c in &mut cells {
-        c.floor = floor_events_per_sec(&c.scheduler, c.nodes, c.workers);
+        c.floor = floor_events_per_sec(&c.scheduler, c.nodes);
         c.vs_floor = c.floor.map(|f| c.events_per_sec / f);
     }
 
@@ -716,10 +534,9 @@ fn check_floors(comparable: bool, cells: &[CellTiming]) -> bool {
             if ratio < FLOOR_FRACTION {
                 ok = false;
                 eprintln!(
-                    "perf_baseline: FLOOR VIOLATION: {}/{} (workers {}) ran at {:.2e} \
-                     events/s, below {FLOOR_FRACTION} x the frozen floor {floor:.2e} \
-                     (ratio {ratio:.3})",
-                    c.scheduler, c.nodes, c.workers, c.events_per_sec
+                    "perf_baseline: FLOOR VIOLATION: {}/{} ran at {:.2e} events/s, below \
+                     {FLOOR_FRACTION} x the frozen floor {floor:.2e} (ratio {ratio:.3})",
+                    c.scheduler, c.nodes, c.events_per_sec
                 );
             }
         }
@@ -737,7 +554,7 @@ fn render_json(opts: &Opts, jobs: usize, comparable: bool, cells: &[CellTiming])
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"perf_baseline\",\n");
-    out.push_str("  \"schema_version\": 3,\n");
+    out.push_str("  \"schema_version\": 4,\n");
     let _ = writeln!(out, "  \"smoke\": {},", opts.smoke);
     let _ = writeln!(out, "  \"jobs\": {jobs},");
     let _ = writeln!(out, "  \"seed\": {},", opts.seed);
@@ -771,15 +588,12 @@ fn render_json(opts: &Opts, jobs: usize, comparable: bool, cells: &[CellTiming])
     for (i, c) in cells.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\"scheduler\": \"{}\", \"nodes\": {}, \"jobs\": {}, \"shards\": {}, \
-             \"workers\": {}, \"wall_s\": {:.4}, \"events\": {}, \"events_per_sec\": {:.1}, \
-             \"steals\": {}, \"speedup_vs_pre_rework\": {}, \"floor_events_per_sec\": {}, \
-             \"vs_floor\": {}",
+            "    {{\"scheduler\": \"{}\", \"nodes\": {}, \"jobs\": {}, \"wall_s\": {:.4}, \
+             \"events\": {}, \"events_per_sec\": {:.1}, \"steals\": {}, \
+             \"speedup_vs_pre_rework\": {}, \"floor_events_per_sec\": {}, \"vs_floor\": {}",
             c.scheduler,
             c.nodes,
             c.jobs,
-            c.shards,
-            c.workers,
             c.wall_s,
             c.events,
             c.events_per_sec,
@@ -799,16 +613,6 @@ fn render_json(opts: &Opts, jobs: usize, comparable: bool, cells: &[CellTiming])
             ", \"streaming_max_rel_err\": {:.3e}",
             c.streaming_max_rel_err
         );
-        if let Some(stats) = &c.sharded {
-            let _ = write!(
-                out,
-                ", \"epochs\": {}, \"merge_envelopes\": {}, \"avg_epoch_span_micros\": {}",
-                stats.epochs, stats.merge_envelopes, stats.avg_epoch_span_micros
-            );
-        }
-        if let Some(rate) = c.rack_local_steal_rate {
-            let _ = write!(out, ", \"rack_local_steal_rate\": {rate:.4}");
-        }
         out.push('}');
         out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
     }

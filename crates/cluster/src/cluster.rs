@@ -485,14 +485,6 @@ impl Cluster {
         self.down_count
     }
 
-    /// Number of down servers still executing their draining task. These
-    /// count as usable capacity in [`Cluster::utilization`]; sharded
-    /// drivers read the raw component to merge utilization across shards
-    /// with the same denominator convention.
-    pub fn down_running_count(&self) -> usize {
-        self.down_running
-    }
-
     /// Number of in-service servers.
     pub fn live_count(&self) -> usize {
         self.servers.len() - self.down_count

@@ -20,7 +20,7 @@
 //! The whole plan is a pure function of the trace (arrival times, true
 //! classes, task-seconds), the cluster size, the dynamics script, and the
 //! policy — no RNG and no runtime feedback. That is deliberate: the sim
-//! driver, the sharded driver, and both proto transports apply the *same*
+//! driver and both proto transports apply the *same*
 //! [`AdmissionPlan`], so shed counts agree exactly per seed across
 //! backends (asserted by `tests/backend_conformance.rs`), and rescheduling
 //! a deferred arrival perturbs no RNG stream (job estimates are drawn at

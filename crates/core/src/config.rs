@@ -290,15 +290,6 @@ pub struct SimConfig {
     pub speeds: SpeedSpec,
     /// RNG seed for probe placement, stealing and misestimation.
     pub seed: u64,
-    /// Number of cluster shards the driver partitions the cell into.
-    /// `1` (the default) runs the classic single-threaded [`Driver`] and
-    /// is byte-identical to every pinned golden digest; `K > 1` runs the
-    /// sharded parallel driver, whose results are deterministic for a
-    /// fixed `K` but digest-*incompatible* across shard counts (each
-    /// shard owns an independent RNG stream).
-    ///
-    /// [`Driver`]: crate::Driver
-    pub shards: usize,
     /// Serving-mode admission control. `None` (the default) disables the
     /// seam entirely — no plan is computed, no arrival is deferred or
     /// shed, and runs are byte-identical to every pinned golden digest.
@@ -326,7 +317,6 @@ impl Default for SimConfig {
             dynamics: DynamicsScript::none(),
             speeds: SpeedSpec::Uniform,
             seed: DEFAULT_SEED,
-            shards: 1,
             admission: None,
             live_window: None,
         }
@@ -385,7 +375,6 @@ impl ExperimentConfig {
             dynamics: DynamicsScript::none(),
             speeds: SpeedSpec::Uniform,
             seed: self.seed,
-            shards: 1,
             admission: None,
             live_window: None,
         }

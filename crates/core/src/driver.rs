@@ -985,7 +985,6 @@ impl<'t> Driver<'t> {
             migrations: self.migrations,
             abandons: self.abandons,
             network: self.topology.stats(),
-            sharded: None,
             streaming: StreamingStats {
                 short: StreamingSummary::from_sink(&self.short_sink),
                 long: StreamingSummary::from_sink(&self.long_sink),

@@ -43,7 +43,6 @@ use crate::config::{CentralOverhead, ExperimentConfig, SimConfig};
 use crate::driver::Driver;
 use crate::metrics::MetricsReport;
 use crate::scheduler::Scheduler;
-use crate::shard::{worker_budget, ShardedDriver};
 
 /// Anything an [`ExperimentBuilder`] accepts as a trace: an owned or
 /// shared [`Trace`] (borrowed traces are cloned once).
@@ -116,31 +115,10 @@ impl Experiment {
         cell
     }
 
-    /// Runs the cell to completion. Deterministic: the same cell produces
-    /// bit-identical reports.
-    ///
-    /// `shards <= 1` (the default) runs the single-threaded [`Driver`];
-    /// `shards > 1` runs the sharded parallel driver
-    /// ([`crate::ShardedDriver`]) with up to
-    /// [`worker_budget()`](crate::worker_budget) threads. Sharded results
-    /// are deterministic per shard count but not digest-comparable
-    /// across shard counts.
+    /// Runs the cell to completion on the [`Driver`]. Deterministic: the
+    /// same cell produces bit-identical reports.
     pub fn run(&self) -> MetricsReport {
-        self.run_with_workers(worker_budget())
-    }
-
-    /// Like [`Experiment::run`], with an explicit cap on the OS worker
-    /// threads a sharded cell may use (ignored for `shards <= 1`; the
-    /// worker count never changes results). [`crate::Sweep`] uses this
-    /// to divide the machine between concurrent cells.
-    pub fn run_with_workers(&self, workers: usize) -> MetricsReport {
-        if self.sim.shards > 1 {
-            ShardedDriver::new(&self.trace, Arc::clone(&self.scheduler), &self.sim)
-                .with_workers(workers)
-                .run()
-        } else {
-            Driver::with_scheduler(&self.trace, Arc::clone(&self.scheduler), &self.sim).run()
-        }
+        Driver::with_scheduler(&self.trace, Arc::clone(&self.scheduler), &self.sim).run()
     }
 
     /// Like [`Experiment::run`], but also returns the (possibly
@@ -280,14 +258,6 @@ impl ExperimentBuilder {
     /// Sets the RNG seed for probe placement, stealing and misestimation.
     pub fn seed(mut self, seed: u64) -> Self {
         self.sim.seed = seed;
-        self
-    }
-
-    /// Sets the shard count: `1` (the default) runs the classic
-    /// single-threaded driver, `K > 1` the sharded parallel driver.
-    /// See [`SimConfig::shards`] for the determinism contract.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.sim.shards = shards;
         self
     }
 

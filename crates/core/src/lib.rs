@@ -77,7 +77,6 @@ mod experiment;
 pub mod live;
 pub mod metrics;
 pub mod scheduler;
-mod shard;
 mod steal_policy;
 mod sweep;
 
@@ -92,15 +91,14 @@ pub use driver::{Driver, Event};
 pub use experiment::{Experiment, ExperimentBuilder, IntoTrace};
 pub use live::{LiveMetrics, LiveWindow, WindowClassStats, LIVE_RING};
 pub use metrics::{
-    compare, AdmissionStats, ClassSummary, Comparison, JobResult, MetricsReport, ShardedStats,
-    StreamingStats, StreamingSummary,
+    compare, AdmissionStats, ClassSummary, Comparison, JobResult, MetricsReport, StreamingStats,
+    StreamingSummary,
 };
 // Convenience re-exports of the network-topology layer (the canonical home
 // is `hawk_net`): the selector every `SimConfig` carries plus the types a
 // topology-aware experiment touches.
 pub use hawk_net::{Endpoint, FatTreeParams, NetworkStats, RackGeometry, Topology, TopologySpec};
 pub use scheduler::{PlacementView, Scheduler, StealSpec};
-pub use shard::{worker_budget, ShardedDriver};
 pub use steal_policy::StealPolicy;
 pub use sweep::{CellResult, Sweep, SweepResults};
 

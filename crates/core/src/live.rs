@@ -12,14 +12,10 @@
 //! record and close paths are allocation-free, which the zero-alloc
 //! regression test enforces.
 //!
-//! The classic driver closes windows from a dedicated self-rescheduling
-//! sampling event; the sharded driver closes them lazily before applying
-//! each event (adding engine events would defeat its quiescence free-run
-//! fast path), exactly like its lazy utilization sampling. Attribution of
-//! events landing on the boundary microsecond therefore follows event
-//! order and may differ between the two drivers; live metrics are
-//! deterministic per driver but are not part of any cross-driver
-//! bit-equality contract (and not part of the golden digests).
+//! The driver closes windows from a dedicated self-rescheduling sampling
+//! event, so an event landing on the boundary microsecond is attributed
+//! by event order. Live metrics are deterministic but are not part of
+//! the golden digests.
 
 use hawk_simcore::stats::StreamingQuantiles;
 use hawk_simcore::{SimDuration, SimTime};
@@ -116,8 +112,8 @@ impl LiveMetrics {
     }
 }
 
-/// One closed window held in the ring, with its histogram snapshots kept
-/// so shards can be merged exactly at report time.
+/// One closed window held in the ring, with snapshots of its per-class
+/// histograms.
 #[derive(Debug, Clone)]
 struct ClosedWindow {
     index: u64,
@@ -132,7 +128,7 @@ struct ClosedWindow {
     long: StreamingQuantiles,
 }
 
-/// Accumulates live metrics for one driver (or one shard). Everything is
+/// Accumulates live metrics for one driver run. Everything is
 /// pre-allocated; `on_*` and `close_up_to` never allocate.
 #[derive(Debug, Clone)]
 pub(crate) struct LiveRecorder {
@@ -263,75 +259,17 @@ impl LiveRecorder {
         (first..self.closed).map(move |i| &self.ring[(i % LIVE_RING as u64) as usize])
     }
 
-    /// The single-driver report.
+    /// The report of the retained closed windows.
     pub(crate) fn report(&self) -> LiveMetrics {
         LiveMetrics {
             window: self.window,
-            windows: self
-                .closed_slots()
-                .map(|slot| finish_window(slot, &slot.short, &slot.long))
-                .collect(),
+            windows: self.closed_slots().map(finish_window).collect(),
         }
-    }
-
-    /// Merges per-shard recorders into one report: counters sum, shard
-    /// occupancies sum (each shard reports only its owned servers'
-    /// share), and the per-window histograms merge exactly. Only window
-    /// indexes closed by *every* shard are reported.
-    pub(crate) fn merge(recorders: &[&LiveRecorder]) -> LiveMetrics {
-        let window = recorders
-            .first()
-            .map(|r| r.window)
-            .unwrap_or(SimDuration::from_secs(1));
-        // Common fully-closed range across shards.
-        let end = recorders.iter().map(|r| r.closed).min().unwrap_or(0);
-        let start = recorders
-            .iter()
-            .map(|r| r.closed - r.closed.min(LIVE_RING as u64))
-            .max()
-            .unwrap_or(0);
-        let mut short = StreamingQuantiles::new();
-        let mut long = StreamingQuantiles::new();
-        let mut windows = Vec::new();
-        for index in start..end {
-            let mut merged = ClosedWindow {
-                index,
-                arrivals: 0,
-                sheds: 0,
-                deferrals: 0,
-                backlog: 0,
-                occupancy: 0.0,
-                steals: 0,
-                steal_attempts: 0,
-                short: StreamingQuantiles::new(),
-                long: StreamingQuantiles::new(),
-            };
-            short.reset();
-            long.reset();
-            for r in recorders {
-                let slot = &r.ring[(index % LIVE_RING as u64) as usize];
-                debug_assert_eq!(slot.index, index, "shard ring out of phase");
-                merged.arrivals += slot.arrivals;
-                merged.sheds += slot.sheds;
-                merged.deferrals += slot.deferrals;
-                merged.backlog += slot.backlog;
-                merged.occupancy += slot.occupancy;
-                merged.steals += slot.steals;
-                merged.steal_attempts += slot.steal_attempts;
-                short.merge(&slot.short);
-                long.merge(&slot.long);
-            }
-            windows.push(finish_window(&merged, &short, &long));
-        }
-        LiveMetrics { window, windows }
     }
 }
 
-fn finish_window(
-    slot: &ClosedWindow,
-    short: &StreamingQuantiles,
-    long: &StreamingQuantiles,
-) -> LiveWindow {
+fn finish_window(slot: &ClosedWindow) -> LiveWindow {
+    let (short, long) = (&slot.short, &slot.long);
     LiveWindow {
         index: slot.index,
         arrivals: slot.arrivals,
@@ -399,51 +337,6 @@ mod tests {
         assert_eq!(live.windows.len(), LIVE_RING);
         assert_eq!(live.windows.first().unwrap().index, 5);
         assert_eq!(live.windows.last().unwrap().index, LIVE_RING as u64 + 5 - 1);
-    }
-
-    #[test]
-    fn merge_sums_shards_and_matches_global_histograms() {
-        let mut a = LiveRecorder::new(SimDuration::from_secs(1));
-        let mut b = LiveRecorder::new(SimDuration::from_secs(1));
-        let mut global = LiveRecorder::new(SimDuration::from_secs(1));
-        for (i, micros) in [1_000u64, 2_000, 3_000, 500_000, 700_000]
-            .iter()
-            .enumerate()
-        {
-            let (half, class) = if i % 2 == 0 {
-                (&mut a, JobClass::Short)
-            } else {
-                (&mut b, JobClass::Long)
-            };
-            half.on_arrival();
-            half.on_completion(class, *micros);
-            global.on_arrival();
-            global.on_completion(class, *micros);
-        }
-        a.close_up_to(SimTime::from_secs(1), 0.25, 2, 4);
-        b.close_up_to(SimTime::from_secs(1), 0.5, 1, 1);
-        global.close_up_to(SimTime::from_secs(1), 0.75, 3, 5);
-        let merged = LiveRecorder::merge(&[&a, &b]);
-        let solo = global.report();
-        assert_eq!(merged.windows.len(), 1);
-        let (m, g) = (&merged.windows[0], &solo.windows[0]);
-        assert_eq!(m.arrivals, g.arrivals);
-        assert_eq!(m.completions, g.completions);
-        assert_eq!(m.short, g.short); // histogram merge is exact
-        assert_eq!(m.long, g.long);
-        assert!((m.occupancy - 0.75).abs() < 1e-12);
-        assert_eq!(m.steals, 3);
-        assert_eq!(m.steal_attempts, 5);
-    }
-
-    #[test]
-    fn merge_reports_only_windows_closed_by_every_shard() {
-        let mut a = LiveRecorder::new(SimDuration::from_secs(1));
-        let mut b = LiveRecorder::new(SimDuration::from_secs(1));
-        close(&mut a, 3); // windows 0..3 closed
-        close(&mut b, 2); // windows 0..2 closed
-        let merged = LiveRecorder::merge(&[&a, &b]);
-        assert_eq!(merged.windows.len(), 2);
     }
 
     #[test]

@@ -42,23 +42,6 @@ impl JobResult {
     }
 }
 
-/// Synchronization counters from the sharded driver's conservative epoch
-/// protocol: how many barrier/merge rounds the run took, how many
-/// envelopes crossed shard boundaries, and how far simulated time moved
-/// per round. `None` on every single-stream path. Excluded from the
-/// golden digests (like [`NetworkStats`]): the contract pins *what* the
-/// simulation computed, not how the work was partitioned.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct ShardedStats {
-    /// Synchronization epochs executed (merge rounds that advanced the
-    /// epoch base; the final stop round is not counted).
-    pub epochs: u64,
-    /// Cross-shard envelopes routed through the leader's k-way merge.
-    pub merge_envelopes: u64,
-    /// Mean simulated microseconds the epoch base advanced per epoch.
-    pub avg_epoch_span_micros: u64,
-}
-
 /// Tail percentiles of one job class as estimated by the bounded-memory
 /// [`StreamingQuantiles`] sink, the serving-mode counterpart of the exact
 /// [`ClassSummary`]: each quantile is within
@@ -180,9 +163,6 @@ pub struct MetricsReport {
     /// (placement-blind models classify nothing). Not part of the golden
     /// digests.
     pub network: NetworkStats,
-    /// Epoch/merge counters when the run executed on the sharded driver;
-    /// `None` single-stream. Not part of the golden digests.
-    pub sharded: Option<ShardedStats>,
     /// Streaming per-class runtime percentiles from the bounded-memory
     /// sinks (always collected). Not part of the golden digests.
     pub streaming: StreamingStats,
@@ -364,7 +344,6 @@ mod tests {
             migrations: 0,
             abandons: 0,
             network: NetworkStats::default(),
-            sharded: None,
             streaming: StreamingStats::default(),
             live: None,
             admission: AdmissionStats::default(),

@@ -38,7 +38,6 @@ use hawk_workload::Trace;
 use crate::experiment::{Experiment, ExperimentBuilder, IntoTrace};
 use crate::metrics::MetricsReport;
 use crate::scheduler::Scheduler;
-use crate::shard::worker_budget;
 
 /// A grid of experiment cells: one base configuration multiplied by axes
 /// of schedulers, traces, cluster sizes, seeds, cutoffs and misestimation
@@ -122,9 +121,8 @@ impl Sweep {
         self
     }
 
-    /// Caps concurrent *cells* (default: the worker budget divided by the
-    /// widest cell's shard count, so `cells × shards-per-cell` never
-    /// exceeds [`worker_budget()`](crate::worker_budget)).
+    /// Caps concurrent cells (default: the machine's available
+    /// parallelism, or `HAWK_WORKER_BUDGET` when set).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
@@ -197,43 +195,43 @@ impl Sweep {
     /// result grid. Cell results are bit-identical to a sequential run:
     /// each cell is an independent, seeded simulation.
     ///
-    /// The machine is divided, not oversubscribed: with sharded cells in
-    /// the grid (`SimConfig::shards > 1`), each cell may spin up its own
-    /// shard workers, so the number of concurrently running cells is
-    /// capped at `worker_budget() / max-shards-per-cell` (at least 1)
-    /// and each cell's shard workers get the remaining share. An
-    /// explicit [`Sweep::threads`] overrides the concurrent-cell count;
-    /// `HAWK_WORKER_BUDGET` overrides the total budget.
+    /// Runs [`Sweep::threads`] cells at once if set, otherwise one per
+    /// available core (`HAWK_WORKER_BUDGET` overrides the core count,
+    /// e.g. to share a host), never more than there are cells.
     pub fn run_all(&self) -> SweepResults {
         let cells = self.grid();
-        let budget = worker_budget();
-        let widest = cells
-            .iter()
-            .map(|c| c.sim().shards.max(1))
-            .max()
-            .unwrap_or(1);
         let threads = self
             .threads
-            .unwrap_or_else(|| (budget / widest).max(1))
+            .unwrap_or_else(worker_budget)
             .min(cells.len())
             .max(1);
-        let workers_per_cell = (budget / threads).max(1);
         SweepResults {
-            cells: run_cells(&cells, threads, workers_per_cell),
+            cells: run_cells(&cells, threads),
         }
     }
 
-    /// Runs every cell of the grid on the calling thread, in grid order
-    /// (sharded cells still use their own worker threads internally).
+    /// Runs every cell of the grid on the calling thread, in grid order.
     pub fn run_all_sequential(&self) -> SweepResults {
         SweepResults {
-            cells: self
-                .grid()
-                .iter()
-                .map(|cell| CellResult::run(cell, worker_budget()))
-                .collect(),
+            cells: self.grid().iter().map(CellResult::run).collect(),
         }
     }
+}
+
+/// The number of cells [`Sweep::run_all`] runs at once by default:
+/// [`std::thread::available_parallelism`], unless the
+/// `HAWK_WORKER_BUDGET` environment variable overrides it (clamped to at
+/// least 1). The override pins CI runners to a known width and stops
+/// oversubscription when several simulations share a machine.
+fn worker_budget() -> usize {
+    if let Ok(raw) = std::env::var("HAWK_WORKER_BUDGET") {
+        if let Ok(n) = raw.trim().parse::<usize>() {
+            return n.max(1);
+        }
+    }
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 fn or_default<T: Clone>(axis: &[T], base: T) -> Vec<T> {
@@ -247,7 +245,7 @@ fn or_default<T: Clone>(axis: &[T], base: T) -> Vec<T> {
 /// Executes `cells` on `threads` scoped workers pulling from a shared
 /// index. Results land at their cell's index, so output order equals grid
 /// order regardless of scheduling.
-fn run_cells(cells: &[Experiment], threads: usize, workers_per_cell: usize) -> Vec<CellResult> {
+fn run_cells(cells: &[Experiment], threads: usize) -> Vec<CellResult> {
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<CellResult>>> = cells.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
@@ -255,7 +253,7 @@ fn run_cells(cells: &[Experiment], threads: usize, workers_per_cell: usize) -> V
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(cell) = cells.get(i) else { break };
-                let result = CellResult::run(cell, workers_per_cell);
+                let result = CellResult::run(cell);
                 *slots[i].lock().expect("result slot") = Some(result);
             });
         }
@@ -288,7 +286,7 @@ pub struct CellResult {
 }
 
 impl CellResult {
-    fn run(cell: &Experiment, workers: usize) -> CellResult {
+    fn run(cell: &Experiment) -> CellResult {
         let sim = cell.sim();
         CellResult {
             scheduler: cell.scheduler().name(),
@@ -296,7 +294,7 @@ impl CellResult {
             seed: sim.seed,
             cutoff: sim.cutoff,
             misestimate: sim.misestimate,
-            report: cell.run_with_workers(workers),
+            report: cell.run(),
         }
     }
 }
@@ -434,23 +432,17 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cells_match_across_cell_parallelism() {
-        // Sharded cells divide the worker budget between concurrent
-        // cells; the division must not change any cell's results.
-        let sweep = base()
-            .shards(2)
-            .sweep()
-            .scheduler(Hawk::new(0.2))
-            .scheduler(Sparrow::new())
-            .nodes([16, 32]);
-        let par = sweep.run_all();
-        let seq = sweep.run_all_sequential();
-        assert_eq!(par.cells.len(), seq.cells.len());
-        for (p, s) in par.cells.iter().zip(&seq.cells) {
-            assert_eq!(p.report.results, s.report.results);
-            assert_eq!(p.report.events, s.report.events);
-            assert_eq!(p.report.steals, s.report.steals);
-        }
+    fn worker_budget_env_override_wins() {
+        // Concurrent sweeps in other tests may read the override while
+        // it is set; it only sizes their thread pool, never their results.
+        std::env::set_var("HAWK_WORKER_BUDGET", "3");
+        assert_eq!(worker_budget(), 3);
+        std::env::set_var("HAWK_WORKER_BUDGET", "0");
+        assert_eq!(worker_budget(), 1, "zero clamps to one worker");
+        std::env::set_var("HAWK_WORKER_BUDGET", "nonsense");
+        let fallback = worker_budget();
+        assert!(fallback >= 1);
+        std::env::remove_var("HAWK_WORKER_BUDGET");
     }
 
     #[test]

@@ -192,7 +192,6 @@ impl ProtoReport {
             migrations: self.migrations,
             abandons: self.abandons,
             network: self.network,
-            sharded: None,
             streaming: self.streaming,
             live: None,
             admission: self.admission,
@@ -316,7 +315,6 @@ mod tests {
             migrations: 0,
             abandons: 0,
             network: NetworkStats::default(),
-            sharded: None,
             streaming: StreamingStats::default(),
             live: None,
             admission: AdmissionStats::default(),

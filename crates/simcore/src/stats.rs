@@ -141,7 +141,7 @@ const QUANTILE_BUCKETS: usize =
 /// (microseconds, in this codebase), in the spirit of GK/CKMS summaries
 /// but implemented as an HDR-histogram-style log-bucketed counter array so
 /// that recording is branch-light integer math, memory is fixed at
-/// construction, and merging shards is exact.
+/// construction, and merging two sinks is exact.
 ///
 /// # Guarantee
 ///
@@ -161,7 +161,8 @@ const QUANTILE_BUCKETS: usize =
 /// Bucketing a value is a pure function of the value, so
 /// [`StreamingQuantiles::merge`] (element-wise count addition) makes a
 /// merged sink *bit-identical* to a single sink fed the union of the
-/// streams — per-shard sinks lose nothing relative to a global one.
+/// streams — sinks over disjoint parts of a stream lose nothing
+/// relative to one global sink.
 ///
 /// # Memory
 ///

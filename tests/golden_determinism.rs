@@ -157,7 +157,6 @@ fn digest_function_is_stable() {
         migrations: 0,
         abandons: 0,
         network: hawk_core::NetworkStats::default(),
-        sharded: None,
         streaming: hawk_core::StreamingStats::default(),
         live: None,
         admission: hawk_core::AdmissionStats::default(),

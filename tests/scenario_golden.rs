@@ -31,7 +31,8 @@ mod support;
 use support::{
     churn_scenario, digest_report, golden_scenario, saturation_policy, saturation_scenario,
     CENTRALIZED_DIGEST, CHURN_HETERO_HAWK_DIGEST, FAT_TREE_HAWK_DIGEST, GOLDEN_NODES, HAWK_DIGEST,
-    SATURATION_ADMISSION_HAWK_DIGEST, SIM_SEED, SPARROW_DIGEST, SPLIT_CLUSTER_DIGEST, TRACE_SEED,
+    RACK_FIRST_STEAL_HAWK_DIGEST, SATURATION_ADMISSION_HAWK_DIGEST, SIM_SEED, SPARROW_DIGEST,
+    SPLIT_CLUSTER_DIGEST, TRACE_SEED,
 };
 
 fn run_scenario(scenario: &ScenarioSpec, scheduler: Arc<dyn Scheduler>) -> MetricsReport {
@@ -303,6 +304,35 @@ fn fat_tree_hawk_digest_pinned() {
     assert_eq!(
         digest, FAT_TREE_HAWK_DIGEST,
         "fat-tree run drifted: got {digest:#018x} — see module docs to re-pin intentionally"
+    );
+}
+
+/// The fat-tree Hawk cell with rack-first stealing: pins the rack-first
+/// victim order (same-rack candidates first, then the rest) on top of
+/// the topology layer the cell above freezes.
+#[test]
+fn rack_first_steal_hawk_digest_pinned() {
+    let report = run_scenario_with(
+        &golden_scenario(),
+        Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION).rack_first_stealing()),
+        Some(TopologySpec::FatTree(FatTreeParams::default())),
+    );
+    assert!(
+        report.network.rack_local_steals > 0,
+        "rack-first stealing found no rack-local victim: {:?}",
+        report.network
+    );
+    let digest = digest_report(&report);
+    if std::env::var_os("HAWK_PRINT_DIGESTS").is_some() {
+        println!("const RACK_FIRST_STEAL_HAWK_DIGEST: u64 = {digest:#018x};");
+    }
+    assert_ne!(
+        digest, FAT_TREE_HAWK_DIGEST,
+        "rack-first stealing must actually reorder victims"
+    );
+    assert_eq!(
+        digest, RACK_FIRST_STEAL_HAWK_DIGEST,
+        "rack-first fat-tree run drifted: got {digest:#018x} — see module docs to re-pin intentionally"
     );
 }
 

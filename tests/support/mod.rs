@@ -48,14 +48,11 @@ pub const CHURN_HETERO_HAWK_DIGEST: u64 = 0x4f3fa286a0bcca5a;
 /// it).
 pub const FAT_TREE_HAWK_DIGEST: u64 = 0x416829b65ce3bf51;
 
-/// Pinned digest of the golden fat-tree cell run rack-aligned at
-/// exactly 4 shards under Hawk with rack-first stealing (produced by
-/// the sharded-perf PR). Sharded digests are only comparable per shard
-/// count, so this pin uses a fixed 4 regardless of `HAWK_SHARDS`; any
-/// later drift in rack-aligned partitioning, the per-pair lookahead
-/// matrix, the k-way epoch merge or the rack-first victim order fails
-/// against it.
-pub const RACK_ALIGNED_STEAL_HAWK_DIGEST: u64 = 0x3dd368431bb88ffd;
+/// Pinned digest of the golden Hawk cell on the default fat tree with
+/// rack-first stealing (the default 16-host racks split the 300-node
+/// cell into 19 racks; any later drift in rack geometry or the
+/// rack-first victim order fails against it).
+pub const RACK_FIRST_STEAL_HAWK_DIGEST: u64 = 0xbf1305372bea7485;
 
 /// Pinned digest of [`saturation_scenario`] under Hawk with
 /// [`saturation_policy`] admission control (produced by the serving-mode
