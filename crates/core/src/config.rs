@@ -1,13 +1,14 @@
-//! Experiment and scheduler configuration.
+//! The policy-independent simulation parameters and the routing
+//! vocabulary policies speak.
 //!
 //! Every evaluation cell in the paper is a `(trace, scheduler, cluster
-//! size)` triple plus the classification cutoff. [`SchedulerConfig`]
-//! resolves each named scheduler — Hawk (with per-component ablation
-//! switches), Sparrow, fully centralized, split cluster — into the routing
-//! policy the driver executes.
+//! size)` triple plus the classification cutoff. The scheduler is an
+//! `Arc<dyn Scheduler>` (see [`crate::scheduler`]); everything else a cell
+//! needs lives in [`SimConfig`]. A policy routes each job class with a
+//! [`Route`] over a [`Scope`] of the cluster's partition.
 
 use crate::admission::AdmissionPolicy;
-use hawk_cluster::{NetworkModel, StealGranularity};
+use hawk_cluster::Partition;
 use hawk_net::TopologySpec;
 use hawk_simcore::SimDuration;
 use hawk_workload::classify::{Cutoff, MisestimateRange};
@@ -25,6 +26,19 @@ pub enum Scope {
     ShortReserved,
 }
 
+impl Scope {
+    /// The contiguous server-id range `(start, len)` this scope covers on
+    /// `partition`: the general partition is the id prefix, the reserved
+    /// short partition the suffix.
+    pub fn range(self, partition: &Partition) -> (u32, usize) {
+        match self {
+            Scope::Whole => (0, partition.total()),
+            Scope::General => (0, partition.general_count()),
+            Scope::ShortReserved => (partition.general_count() as u32, partition.short_count()),
+        }
+    }
+}
+
 /// How one job class is scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Route {
@@ -34,192 +48,6 @@ pub enum Route {
     /// Scheduled by per-job distributed schedulers with batch probing and
     /// late binding (§3.5) over the given scope.
     Distributed(Scope),
-}
-
-/// A fully resolved scheduling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct SchedulerConfig {
-    /// Human-readable name for reports.
-    pub name: &'static str,
-    /// Fraction of servers reserved for short tasks (§3.4); zero disables
-    /// partitioning.
-    pub short_partition_fraction: f64,
-    /// Probes sent per task by distributed schedulers (paper: 2, §4.1).
-    pub probe_ratio: f64,
-    /// Maximum random servers an idle node contacts per steal attempt
-    /// (paper default: 10, §4.1); `None` disables stealing.
-    pub steal_cap: Option<usize>,
-    /// What a successful steal takes from the victim (paper: the first
-    /// blocked group, Figure 3; alternatives test that design choice).
-    pub steal_granularity: StealGranularity,
-    /// Maximum times a short probe bounces off a server that holds long
-    /// work before queueing anyway (0 = the paper's Hawk: probes always
-    /// queue where they land). An extension modeled on Hawk's successor
-    /// Eagle, whose node monitors avoid placing short tasks behind long
-    /// ones; here the avoidance is discovered by bouncing rather than by
-    /// gossiped state, so each bounce costs one extra network hop.
-    pub probe_bounce_limit: u8,
-    /// How long jobs are scheduled.
-    pub long_route: Route,
-    /// How short jobs are scheduled.
-    pub short_route: Route,
-}
-
-impl SchedulerConfig {
-    /// Full Hawk (§3): centralized long jobs on the general partition,
-    /// distributed short jobs over the whole cluster, stealing enabled.
-    pub fn hawk(short_partition_fraction: f64) -> Self {
-        SchedulerConfig {
-            name: "hawk",
-            short_partition_fraction,
-            probe_ratio: 2.0,
-            steal_cap: Some(10),
-            steal_granularity: StealGranularity::FirstBlockedGroup,
-            probe_bounce_limit: 0,
-            long_route: Route::Central(Scope::General),
-            short_route: Route::Distributed(Scope::Whole),
-        }
-    }
-
-    /// Hawk with an alternative steal granularity (the §3.6 design-choice
-    /// ablation; see [`StealGranularity`]).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `scheduler::Hawk::new(f).steal_granularity(g)`"
-    )]
-    pub fn hawk_with_granularity(
-        short_partition_fraction: f64,
-        granularity: StealGranularity,
-    ) -> Self {
-        let name = match granularity {
-            StealGranularity::FirstBlockedGroup => "hawk",
-            StealGranularity::RandomBlockedEntry => "hawk-steal-random-entry",
-            StealGranularity::AllBlockedShorts => "hawk-steal-all-shorts",
-        };
-        SchedulerConfig {
-            name,
-            steal_granularity: granularity,
-            ..Self::hawk(short_partition_fraction)
-        }
-    }
-
-    /// Hawk with a custom steal cap (Figure 15).
-    #[deprecated(since = "0.2.0", note = "use `scheduler::Hawk::new(f).steal_cap(cap)`")]
-    pub fn hawk_with_steal_cap(short_partition_fraction: f64, cap: usize) -> Self {
-        SchedulerConfig {
-            steal_cap: Some(cap.max(1)),
-            ..Self::hawk(short_partition_fraction)
-        }
-    }
-
-    /// Extension: Hawk with long-aware probe bouncing. Short probes that
-    /// land on a general-partition server holding long work bounce to a
-    /// fresh random server (up to `limit` hops) instead of queueing behind
-    /// it — the avoidance idea of Hawk's successor, Eagle, discovered by
-    /// bouncing instead of gossiped state. See `ext_probe_avoidance`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `scheduler::Hawk::new(f).probe_avoidance(limit)`"
-    )]
-    pub fn hawk_with_probe_avoidance(short_partition_fraction: f64, limit: u8) -> Self {
-        SchedulerConfig {
-            name: "hawk-probe-avoidance",
-            probe_bounce_limit: limit,
-            ..Self::hawk(short_partition_fraction)
-        }
-    }
-
-    /// Ablation: Hawk without the centralized component (Figure 7) — long
-    /// jobs are probed like short ones, but still only within the general
-    /// partition.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `scheduler::Hawk::new(f).without_centralized()`"
-    )]
-    pub fn hawk_without_centralized(short_partition_fraction: f64) -> Self {
-        SchedulerConfig {
-            name: "hawk-wout-centralized",
-            long_route: Route::Distributed(Scope::General),
-            ..Self::hawk(short_partition_fraction)
-        }
-    }
-
-    /// Ablation: Hawk without the reserved short partition (Figure 7).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `scheduler::Hawk::new(0.0)` or `Hawk::new(f).without_partition()`"
-    )]
-    pub fn hawk_without_partition() -> Self {
-        SchedulerConfig {
-            name: "hawk-wout-partition",
-            ..Self::hawk(0.0)
-        }
-    }
-
-    /// Ablation: Hawk without work stealing (Figure 7).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `scheduler::Hawk::new(f).without_stealing()`"
-    )]
-    pub fn hawk_without_stealing(short_partition_fraction: f64) -> Self {
-        SchedulerConfig {
-            name: "hawk-wout-stealing",
-            steal_cap: None,
-            ..Self::hawk(short_partition_fraction)
-        }
-    }
-
-    /// The Sparrow baseline \[14\]: everything distributed over the whole
-    /// cluster, probe ratio 2, no partition, no stealing.
-    pub fn sparrow() -> Self {
-        SchedulerConfig {
-            name: "sparrow",
-            short_partition_fraction: 0.0,
-            probe_ratio: 2.0,
-            steal_cap: None,
-            steal_granularity: StealGranularity::FirstBlockedGroup,
-            probe_bounce_limit: 0,
-            long_route: Route::Distributed(Scope::Whole),
-            short_route: Route::Distributed(Scope::Whole),
-        }
-    }
-
-    /// The fully centralized baseline (§4.5): the §3.7 algorithm for every
-    /// job over the whole cluster; no partition, no stealing.
-    pub fn centralized() -> Self {
-        SchedulerConfig {
-            name: "centralized",
-            short_partition_fraction: 0.0,
-            probe_ratio: 2.0,
-            steal_cap: None,
-            steal_granularity: StealGranularity::FirstBlockedGroup,
-            probe_bounce_limit: 0,
-            long_route: Route::Central(Scope::Whole),
-            short_route: Route::Central(Scope::Whole),
-        }
-    }
-
-    /// The split-cluster baseline (§4.6): disjoint partitions, centralized
-    /// long scheduling, distributed short scheduling confined to the short
-    /// partition, no stealing.
-    pub fn split_cluster(short_partition_fraction: f64) -> Self {
-        SchedulerConfig {
-            name: "split-cluster",
-            short_partition_fraction,
-            probe_ratio: 2.0,
-            steal_cap: None,
-            steal_granularity: StealGranularity::FirstBlockedGroup,
-            probe_bounce_limit: 0,
-            long_route: Route::Central(Scope::General),
-            short_route: Route::Distributed(Scope::ShortReserved),
-        }
-    }
-
-    /// True if any route uses the centralized scheduler.
-    pub fn uses_central(&self) -> bool {
-        matches!(self.long_route, Route::Central(_))
-            || matches!(self.short_route, Route::Central(_))
-    }
 }
 
 /// Processing cost of the centralized scheduler.
@@ -269,14 +97,12 @@ pub struct SimConfig {
     pub cutoff: Cutoff,
     /// Estimation error model (§4.8); `None` for exact estimates.
     pub misestimate: Option<MisestimateRange>,
-    /// Network delays.
-    pub network: NetworkModel,
-    /// Placement-aware network topology. `None` (the default) means the
-    /// flat constant-delay network described by `network` — the paper's
-    /// §4.1 model — so every pre-topology configuration keeps its exact
-    /// behavior. `Some` selects a fat-tree (optionally contended) model
-    /// and makes `network` irrelevant except as documentation.
-    pub topology: Option<TopologySpec>,
+    /// Network topology every message delay is charged against. The
+    /// default, [`TopologySpec::paper_default`], is the paper's flat
+    /// constant 0.5 ms network (§4.1); a fat tree (optionally contended)
+    /// makes delays placement-aware. Both backends build their runtime
+    /// topology from this field.
+    pub topology: TopologySpec,
     /// Centralized-scheduler decision cost (default: free, as in the
     /// paper's simulator).
     pub central_overhead: CentralOverhead,
@@ -310,8 +136,7 @@ impl Default for SimConfig {
             nodes: 1_500,
             cutoff: Cutoff::GOOGLE_DEFAULT,
             misestimate: None,
-            network: NetworkModel::paper_default(),
-            topology: None,
+            topology: TopologySpec::paper_default(),
             central_overhead: CentralOverhead::FREE,
             util_interval: SimDuration::from_secs(100),
             dynamics: DynamicsScript::none(),
@@ -323,148 +148,12 @@ impl Default for SimConfig {
     }
 }
 
-impl SimConfig {
-    /// The effective network topology of this configuration: the explicit
-    /// spec if one was set, otherwise the flat constant-delay network
-    /// built from `network`. Both backends construct their runtime
-    /// topology from this single seam.
-    pub fn topology_spec(&self) -> TopologySpec {
-        self.topology
-            .unwrap_or(TopologySpec::Constant(self.network))
-    }
-}
-
-/// One legacy experiment cell: a [`SchedulerConfig`] plus the simulation
-/// parameters. Kept for [`run_experiment`](crate::run_experiment)-era
-/// code; new code describes cells with
-/// [`Experiment::builder`](crate::Experiment::builder).
-#[derive(Debug, Clone, Serialize)]
-pub struct ExperimentConfig {
-    /// Cluster size in servers.
-    pub nodes: usize,
-    /// The scheduling policy.
-    pub scheduler: SchedulerConfig,
-    /// Short/long cutoff on estimated task runtime (§3.3).
-    pub cutoff: Cutoff,
-    /// Estimation error model (§4.8); `None` for exact estimates.
-    pub misestimate: Option<MisestimateRange>,
-    /// Network delays.
-    pub network: NetworkModel,
-    /// Centralized-scheduler decision cost (default: free, as in the
-    /// paper's simulator).
-    pub central_overhead: CentralOverhead,
-    /// Utilization sampling interval (paper: 100 s).
-    pub util_interval: SimDuration,
-    /// RNG seed for probe placement, stealing and misestimation.
-    pub seed: u64,
-}
-
-impl ExperimentConfig {
-    /// The policy-independent part of this configuration. Legacy cells
-    /// are always static and homogeneous; scenarios use
-    /// [`Experiment::builder`](crate::Experiment::builder).
-    pub fn sim(&self) -> SimConfig {
-        SimConfig {
-            nodes: self.nodes,
-            cutoff: self.cutoff,
-            misestimate: self.misestimate,
-            network: self.network,
-            topology: None,
-            central_overhead: self.central_overhead,
-            util_interval: self.util_interval,
-            dynamics: DynamicsScript::none(),
-            speeds: SpeedSpec::Uniform,
-            seed: self.seed,
-            admission: None,
-            live_window: None,
-        }
-    }
-}
-
-impl Default for ExperimentConfig {
-    fn default() -> Self {
-        let sim = SimConfig::default();
-        ExperimentConfig {
-            nodes: sim.nodes,
-            scheduler: SchedulerConfig::hawk(0.17),
-            cutoff: sim.cutoff,
-            misestimate: sim.misestimate,
-            network: sim.network,
-            central_overhead: sim.central_overhead,
-            util_interval: sim.util_interval,
-            seed: sim.seed,
-        }
-    }
-}
-
 /// Default experiment seed; an arbitrary constant so runs are reproducible.
 pub const DEFAULT_SEED: u64 = 0x4a77_2015;
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the legacy shims are exactly what these tests cover
-
     use super::*;
-
-    #[test]
-    fn hawk_defaults_match_paper() {
-        let h = SchedulerConfig::hawk(0.17);
-        assert_eq!(h.probe_ratio, 2.0);
-        assert_eq!(h.steal_cap, Some(10));
-        assert_eq!(h.long_route, Route::Central(Scope::General));
-        assert_eq!(h.short_route, Route::Distributed(Scope::Whole));
-        assert!(h.uses_central());
-    }
-
-    #[test]
-    fn ablations_flip_one_component() {
-        let base = SchedulerConfig::hawk(0.17);
-        let no_central = SchedulerConfig::hawk_without_centralized(0.17);
-        assert_eq!(no_central.long_route, Route::Distributed(Scope::General));
-        assert_eq!(no_central.short_route, base.short_route);
-        assert_eq!(no_central.steal_cap, base.steal_cap);
-        assert!(!no_central.uses_central());
-
-        let no_part = SchedulerConfig::hawk_without_partition();
-        assert_eq!(no_part.short_partition_fraction, 0.0);
-        assert_eq!(no_part.long_route, base.long_route);
-
-        let no_steal = SchedulerConfig::hawk_without_stealing(0.17);
-        assert_eq!(no_steal.steal_cap, None);
-        assert_eq!(no_steal.long_route, base.long_route);
-    }
-
-    #[test]
-    fn sparrow_is_fully_distributed() {
-        let s = SchedulerConfig::sparrow();
-        assert_eq!(s.long_route, Route::Distributed(Scope::Whole));
-        assert_eq!(s.short_route, Route::Distributed(Scope::Whole));
-        assert_eq!(s.steal_cap, None);
-        assert_eq!(s.short_partition_fraction, 0.0);
-        assert!(!s.uses_central());
-    }
-
-    #[test]
-    fn centralized_is_fully_central() {
-        let c = SchedulerConfig::centralized();
-        assert_eq!(c.long_route, Route::Central(Scope::Whole));
-        assert_eq!(c.short_route, Route::Central(Scope::Whole));
-        assert!(c.uses_central());
-    }
-
-    #[test]
-    fn split_cluster_confines_shorts() {
-        let s = SchedulerConfig::split_cluster(0.17);
-        assert_eq!(s.short_route, Route::Distributed(Scope::ShortReserved));
-        assert_eq!(s.long_route, Route::Central(Scope::General));
-        assert_eq!(s.steal_cap, None);
-    }
-
-    #[test]
-    fn steal_cap_floor_is_one() {
-        let h = SchedulerConfig::hawk_with_steal_cap(0.17, 0);
-        assert_eq!(h.steal_cap, Some(1));
-    }
 
     #[test]
     fn central_overhead_cost_model() {
@@ -481,16 +170,5 @@ mod tests {
             o.cost(100),
             SimDuration::from_millis(2) + SimDuration::from_micros(5_000)
         );
-    }
-
-    #[test]
-    fn granularity_variants_named_distinctly() {
-        use hawk_cluster::StealGranularity;
-        let a = SchedulerConfig::hawk_with_granularity(0.17, StealGranularity::FirstBlockedGroup);
-        let b = SchedulerConfig::hawk_with_granularity(0.17, StealGranularity::RandomBlockedEntry);
-        let c = SchedulerConfig::hawk_with_granularity(0.17, StealGranularity::AllBlockedShorts);
-        assert_eq!(a.name, "hawk");
-        assert_ne!(b.name, c.name);
-        assert_eq!(a.steal_cap, Some(10));
     }
 }

@@ -34,7 +34,7 @@ use hawk_workload::{JobClass, JobId, Trace};
 
 use crate::admission::{AdmissionDecision, AdmissionPlan};
 use crate::centralized::CentralScheduler;
-use crate::config::{ExperimentConfig, Route, Scope, SimConfig};
+use crate::config::{Route, Scope, SimConfig};
 use crate::live::LiveRecorder;
 use crate::metrics::{JobResult, MetricsReport, StreamingStats, StreamingSummary};
 use crate::scheduler::{PlacementView, Scheduler, StealSpec};
@@ -134,9 +134,8 @@ struct JobRun {
     completion: Option<SimTime>,
 }
 
-/// The simulation driver. Construct with [`Driver::new`] (legacy config)
-/// or [`Driver::with_scheduler`] (any policy), consume with
-/// [`Driver::run`].
+/// The simulation driver. Construct with [`Driver::with_scheduler`],
+/// consume with [`Driver::run`].
 pub struct Driver<'t> {
     trace: &'t Trace,
     scheduler: Arc<dyn Scheduler>,
@@ -184,9 +183,8 @@ pub struct Driver<'t> {
     /// Time at which the centralized scheduler's serial processing queue
     /// drains (only advances under a non-free [`CentralOverhead`]).
     central_ready: SimTime,
-    /// The network topology every message delay is routed through. Built
-    /// from [`SimConfig::topology_spec`]; the default constant model
-    /// reproduces `network.one_way()` exactly.
+    /// The network topology every message delay is routed through, built
+    /// from [`SimConfig::topology`].
     topology: Box<dyn Topology>,
     /// Rack geometry for fabric-aware victim picking; `None` under
     /// placement-blind topologies.
@@ -205,15 +203,6 @@ pub struct Driver<'t> {
 }
 
 impl<'t> Driver<'t> {
-    /// Builds a driver for one legacy experiment cell. Equivalent to
-    /// [`Driver::with_scheduler`] with the cell's [`SchedulerConfig`]
-    /// (which implements [`Scheduler`]).
-    ///
-    /// [`SchedulerConfig`]: crate::SchedulerConfig
-    pub fn new(trace: &'t Trace, cfg: &ExperimentConfig) -> Self {
-        Self::with_scheduler(trace, Arc::new(cfg.scheduler), &cfg.sim())
-    }
-
     /// Builds a driver running `scheduler` under the policy-independent
     /// parameters `sim`.
     ///
@@ -270,13 +259,12 @@ impl<'t> Driver<'t> {
             }
         }
         let central = Self::central_scope(&long_route, &short_route).map(|scope| {
-            let len = match scope {
-                Scope::Whole => partition.total(),
-                Scope::General => partition.general_count(),
-                Scope::ShortReserved => {
-                    unreachable!("central routes never target the short partition")
-                }
-            };
+            assert_ne!(
+                scope,
+                Scope::ShortReserved,
+                "central routes never target the short partition"
+            );
+            let (_, len) = scope.range(&partition);
             assert!(len > 0, "centralized route over an empty scope");
             CentralScheduler::new(len)
         });
@@ -366,8 +354,8 @@ impl<'t> Driver<'t> {
             probe_buf: Vec::with_capacity(4 * max_tasks + 8),
             place_buf: Vec::with_capacity(max_tasks),
             central_ready: SimTime::ZERO,
-            topology: sim.topology_spec().build(sim.nodes),
-            rack_geometry: sim.topology_spec().rack_geometry(),
+            topology: sim.topology.build(sim.nodes),
+            rack_geometry: sim.topology.rack_geometry(),
             admission,
             short_sink: StreamingQuantiles::new(),
             long_sink: StreamingQuantiles::new(),
@@ -386,15 +374,6 @@ impl<'t> Driver<'t> {
             (Route::Central(a), _) => Some(*a),
             (_, Route::Central(b)) => Some(*b),
             _ => None,
-        }
-    }
-
-    fn scope_range(&self, scope: Scope) -> (u32, usize) {
-        let p = self.cluster.partition();
-        match scope {
-            Scope::Whole => (0, p.total()),
-            Scope::General => (0, p.general_count()),
-            Scope::ShortReserved => (p.general_count() as u32, p.short_count()),
         }
     }
 
@@ -479,8 +458,7 @@ impl<'t> Driver<'t> {
                         Route::Distributed(scope) => scope,
                         Route::Central(_) => unreachable!("probes imply a distributed route"),
                     };
-                    let (start, len) = self.scope_range(scope);
-                    let view = PlacementView::new(&self.cluster, start, len);
+                    let view = PlacementView::new(&self.cluster, scope);
                     let retry = view.random_server(&mut self.probe_rng);
                     let delay = self.topology.delay(
                         self.engine.now(),
@@ -633,8 +611,7 @@ impl<'t> Driver<'t> {
                 }
             }
             Route::Distributed(scope) => {
-                let (start, len) = self.scope_range(scope);
-                let view = PlacementView::new(&self.cluster, start, len);
+                let view = PlacementView::new(&self.cluster, scope);
                 self.scheduler.probe_targets_into(
                     &view,
                     spec.num_tasks(),
@@ -766,8 +743,7 @@ impl<'t> Driver<'t> {
                     Route::Distributed(scope) => scope,
                     Route::Central(_) => unreachable!("probes imply a distributed route"),
                 };
-                let (start, len) = self.scope_range(scope);
-                let view = PlacementView::new(&self.cluster, start, len);
+                let view = PlacementView::new(&self.cluster, scope);
                 let target = view.random_server(&mut self.scenario_rng);
                 let delay =
                     self.topology
@@ -1275,6 +1251,7 @@ mod tests {
     #[test]
     fn steal_transfer_delay_still_delivers_entries() {
         use hawk_cluster::NetworkModel;
+        use hawk_net::TopologySpec;
         // Same blocked-shorts scenario as the stealing test, but stolen
         // entries take 1 ms to move between queues.
         let mut jobs = vec![(0, vec![5_000u64; 8])];
@@ -1282,13 +1259,12 @@ mod tests {
             jobs.push((1 + i, vec![20u64; 4]));
         }
         let trace = tiny_trace(jobs);
-        let network = NetworkModel {
-            steal_transfer_delay: SimDuration::from_millis(1),
-            ..NetworkModel::paper_default()
-        };
         let sim = SimConfig {
             nodes: 10,
-            network,
+            topology: TopologySpec::Constant(NetworkModel {
+                steal_transfer_delay: SimDuration::from_millis(1),
+                ..NetworkModel::paper_default()
+            }),
             ..SimConfig::default()
         };
         let report = Driver::with_scheduler(&trace, Arc::new(Hawk::new(0.2)), &sim).run();

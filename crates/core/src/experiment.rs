@@ -4,8 +4,7 @@
 //! [`Experiment::builder`] is the primary entry point for running a
 //! single cell; [`Sweep`](crate::Sweep) multiplies a builder over axes of
 //! schedulers, cluster sizes, seeds and more, and runs the grid in
-//! parallel. The pre-0.2 free functions [`run_experiment`] and
-//! [`run_experiment_with_estimates`] remain as thin deprecated shims.
+//! parallel.
 //!
 //! # Examples
 //!
@@ -32,14 +31,13 @@
 
 use std::sync::Arc;
 
-use hawk_cluster::NetworkModel;
 use hawk_net::TopologySpec;
 use hawk_simcore::SimDuration;
 use hawk_workload::classify::{Cutoff, JobEstimates, MisestimateRange};
 use hawk_workload::scenario::{DynamicsScript, ScenarioSpec, SpeedSpec};
 use hawk_workload::{Trace, TraceSource};
 
-use crate::config::{CentralOverhead, ExperimentConfig, SimConfig};
+use crate::config::{CentralOverhead, SimConfig};
 use crate::driver::Driver;
 use crate::metrics::MetricsReport;
 use crate::scheduler::Scheduler;
@@ -227,18 +225,12 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Sets the network delay model.
-    pub fn network(mut self, network: NetworkModel) -> Self {
-        self.sim.network = network;
-        self
-    }
-
-    /// Sets a placement-aware network topology (fat-tree, optionally with
-    /// per-link contention). The default is the flat constant-delay
-    /// network described by [`ExperimentBuilder::network`];
-    /// `TopologySpec::Constant` spells that same default explicitly.
+    /// Sets the network topology: a flat constant-delay network
+    /// ([`TopologySpec::Constant`]; the default is
+    /// [`TopologySpec::paper_default`]) or a placement-aware fat tree,
+    /// optionally with per-link contention.
     pub fn topology(mut self, topology: TopologySpec) -> Self {
-        self.sim.topology = Some(topology);
+        self.sim.topology = topology;
         self
     }
 
@@ -319,25 +311,6 @@ impl ExperimentBuilder {
     }
 }
 
-/// Runs one experiment cell under the legacy configuration record.
-#[deprecated(since = "0.2.0", note = "use `Experiment::builder()`")]
-pub fn run_experiment(trace: &Trace, cfg: &ExperimentConfig) -> MetricsReport {
-    Driver::new(trace, cfg).run()
-}
-
-/// Like `run_experiment`, but also returns the per-job estimates the
-/// driver used (§4.8).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Experiment::builder()` and `Experiment::run_with_estimates`"
-)]
-pub fn run_experiment_with_estimates(
-    trace: &Trace,
-    cfg: &ExperimentConfig,
-) -> (MetricsReport, JobEstimates) {
-    Driver::new(trace, cfg).run_with_estimates()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,32 +368,6 @@ mod tests {
         for r in &report.results {
             assert_eq!(r.scheduled_class, estimates.class(r.job, cell.sim().cutoff));
         }
-    }
-
-    #[test]
-    fn legacy_shim_matches_builder() {
-        #![allow(deprecated)]
-        use crate::config::SchedulerConfig;
-        let trace = small_motivation();
-        let cfg = ExperimentConfig {
-            nodes: 128,
-            scheduler: SchedulerConfig::hawk(0.17),
-            ..ExperimentConfig::default()
-        };
-        let legacy = run_experiment(&trace, &cfg);
-        let (with_est, estimates) = run_experiment_with_estimates(&trace, &cfg);
-        assert_eq!(legacy.results, with_est.results);
-        // Exact estimates: every job estimate equals its mean duration.
-        for job in trace.jobs() {
-            assert_eq!(estimates.estimate(job.id), job.mean_task_duration());
-        }
-
-        let builder = Experiment::builder()
-            .nodes(128)
-            .scheduler(Hawk::new(0.17))
-            .trace(&trace)
-            .run();
-        assert_eq!(legacy.results, builder.results);
     }
 
     #[test]

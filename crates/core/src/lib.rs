@@ -83,9 +83,7 @@ mod sweep;
 pub use admission::{AdmissionDecision, AdmissionPlan, AdmissionPolicy};
 pub use backend::{Backend, SimBackend};
 pub use centralized::CentralScheduler;
-pub use config::{
-    CentralOverhead, ExperimentConfig, Route, SchedulerConfig, Scope, SimConfig, DEFAULT_SEED,
-};
+pub use config::{CentralOverhead, Route, Scope, SimConfig, DEFAULT_SEED};
 pub use distributed::ProbePlanner;
 pub use driver::{Driver, Event};
 pub use experiment::{Experiment, ExperimentBuilder, IntoTrace};
@@ -101,6 +99,3 @@ pub use hawk_net::{Endpoint, FatTreeParams, NetworkStats, RackGeometry, Topology
 pub use scheduler::{PlacementView, Scheduler, StealSpec};
 pub use steal_policy::StealPolicy;
 pub use sweep::{CellResult, Sweep, SweepResults};
-
-#[allow(deprecated)]
-pub use experiment::{run_experiment, run_experiment_with_estimates};

@@ -23,13 +23,13 @@ use hawk_net::RackGeometry;
 use hawk_simcore::SimRng;
 use hawk_workload::JobClass;
 
-use crate::config::{Route, SchedulerConfig, Scope};
+use crate::config::{Route, Scope};
 use crate::distributed::ProbePlanner;
 use crate::steal_policy::StealPolicy;
 
 /// Read-only view of the cluster handed to [`Scheduler::probe_targets`]:
-/// the probe scope (a contiguous server range chosen by the job's
-/// [`Route`]) plus queue-state accessors for load-aware policies.
+/// the probe [`Scope`] (chosen by the job's [`Route`]) plus queue-state
+/// accessors for load-aware policies.
 ///
 /// The view exposes only **live** servers: under scenario dynamics, failed
 /// servers vanish from [`PlacementView::scope_len`],
@@ -44,79 +44,45 @@ use crate::steal_policy::StealPolicy;
 /// placement pass costs O(d) regardless of the scope size.
 pub struct PlacementView<'a> {
     cluster: &'a Cluster,
+    scope: Scope,
     scope_start: u32,
-    /// Static size of the scope's id range.
-    range_len: usize,
     /// Live servers in scope — what [`PlacementView::scope_len`] reports.
     live_len: usize,
     /// Rank offset of this scope inside the cluster's sorted live-id map
     /// (0 for whole/general scopes, the live general count for the short
     /// partition).
     live_offset: usize,
-    scope_kind: ScopeKind,
-}
-
-/// Which index population a view's scope maps onto.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScopeKind {
-    Whole,
-    General,
-    ShortReserved,
-    /// A range matching no partition boundary (only constructible by
-    /// callers outside the driver); aggregate queries fall back to an
-    /// O(scope) walk, per-server reads stay O(1).
-    Custom,
 }
 
 impl<'a> PlacementView<'a> {
-    /// Builds a view over the id range `[start, start+len)`, exposing its
+    /// Builds a view over `scope` of the cluster's partition, exposing its
     /// live servers.
     ///
     /// # Panics
     ///
-    /// Panics if the range is empty or — under scenario dynamics — every
+    /// Panics if the scope is empty or — under scenario dynamics — every
     /// server in it is down (placement needs at least one live target;
     /// dynamics scripts must keep each scope they starve of capacity
     /// partially alive).
-    pub fn new(cluster: &'a Cluster, scope_start: u32, scope_len: usize) -> Self {
-        assert!(scope_len > 0, "probe scope is empty");
-        let partition = cluster.partition();
-        let scope_kind = if scope_start == 0 && scope_len == partition.total() {
-            ScopeKind::Whole
-        } else if scope_start == 0 && scope_len == partition.general_count() {
-            ScopeKind::General
-        } else if scope_start as usize == partition.general_count()
-            && scope_len == partition.short_count()
-        {
-            ScopeKind::ShortReserved
-        } else {
-            ScopeKind::Custom
-        };
+    pub fn new(cluster: &'a Cluster, scope: Scope) -> Self {
+        let (scope_start, range_len) = scope.range(&cluster.partition());
+        assert!(range_len > 0, "probe scope is empty");
         let (live_len, live_offset) = if cluster.down_count() == 0 {
-            (scope_len, 0)
+            (range_len, 0)
         } else {
-            match scope_kind {
-                ScopeKind::Whole => (cluster.live_count(), 0),
-                ScopeKind::General => (cluster.live_count_general(), 0),
-                ScopeKind::ShortReserved => {
-                    (cluster.live_count_short(), cluster.live_count_general())
-                }
-                ScopeKind::Custom => {
-                    let live = (0..scope_len)
-                        .filter(|&i| !cluster.is_down(ServerId(scope_start + i as u32)))
-                        .count();
-                    (live, 0)
-                }
+            match scope {
+                Scope::Whole => (cluster.live_count(), 0),
+                Scope::General => (cluster.live_count_general(), 0),
+                Scope::ShortReserved => (cluster.live_count_short(), cluster.live_count_general()),
             }
         };
         assert!(live_len > 0, "probe scope has no live servers");
         PlacementView {
             cluster,
+            scope,
             scope_start,
-            range_len: scope_len,
             live_len,
             live_offset,
-            scope_kind,
         }
     }
 
@@ -139,23 +105,7 @@ impl<'a> PlacementView<'a> {
         if self.cluster.down_count() == 0 {
             return ServerId(self.scope_start + i as u32);
         }
-        match self.scope_kind {
-            ScopeKind::Custom => {
-                // Rare caller-constructed ranges: walk to the i-th live id.
-                let mut remaining = i;
-                for offset in 0..self.range_len {
-                    let id = ServerId(self.scope_start + offset as u32);
-                    if !self.cluster.is_down(id) {
-                        if remaining == 0 {
-                            return id;
-                        }
-                        remaining -= 1;
-                    }
-                }
-                unreachable!("rank {i} exceeds the live population")
-            }
-            _ => ServerId(self.cluster.live_ids()[self.live_offset + i]),
-        }
+        ServerId(self.cluster.live_ids()[self.live_offset + i])
     }
 
     /// A uniformly random live server of the scope.
@@ -171,25 +121,14 @@ impl<'a> PlacementView<'a> {
         self.cluster.queue_depth(server)
     }
 
-    /// Number of completely idle live servers in scope (free-list index;
-    /// O(1) for the driver's scopes; down servers are never free).
+    /// Number of completely idle live servers in scope (free-list index,
+    /// O(1); down servers are never free).
     pub fn idle_count(&self) -> usize {
-        match self.scope_kind {
-            ScopeKind::Whole => self.cluster.free_count(),
-            ScopeKind::General => self.cluster.free_count_general(),
-            ScopeKind::ShortReserved => self.cluster.free_count_short(),
-            ScopeKind::Custom => self
-                .custom_range()
-                .filter(|&id| self.cluster.is_free(id))
-                .count(),
+        match self.scope {
+            Scope::Whole => self.cluster.free_count(),
+            Scope::General => self.cluster.free_count_general(),
+            Scope::ShortReserved => self.cluster.free_count_short(),
         }
-    }
-
-    /// The live servers of a caller-constructed (non-partition) range.
-    fn custom_range(&self) -> impl Iterator<Item = ServerId> + '_ {
-        (0..self.range_len)
-            .map(|i| ServerId(self.scope_start + i as u32))
-            .filter(|&id| !self.cluster.is_down(id))
     }
 
     /// True if at least one server in scope is completely idle.
@@ -197,20 +136,19 @@ impl<'a> PlacementView<'a> {
         self.idle_count() > 0
     }
 
-    /// The smallest queue depth of any server in scope (depth-histogram
-    /// index; O(1) for the driver's scopes). `None` only for an empty
-    /// custom scope — the driver's scopes are never empty.
+    /// The smallest queue depth of any live server in scope
+    /// (depth-histogram index, O(1)). Never `None` in practice: a view's
+    /// scope always holds a live server.
     pub fn min_queue_depth(&self) -> Option<usize> {
         let general = self.cluster.depth_histogram_general();
         let short = self.cluster.depth_histogram_short();
-        match self.scope_kind {
-            ScopeKind::Whole => match (general.min_depth(), short.min_depth()) {
+        match self.scope {
+            Scope::Whole => match (general.min_depth(), short.min_depth()) {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             },
-            ScopeKind::General => general.min_depth(),
-            ScopeKind::ShortReserved => short.min_depth(),
-            ScopeKind::Custom => self.custom_range().map(|id| self.queue_depth(id)).min(),
+            Scope::General => general.min_depth(),
+            Scope::ShortReserved => short.min_depth(),
         }
     }
 
@@ -219,14 +157,10 @@ impl<'a> PlacementView<'a> {
     pub fn count_with_depth_at_most(&self, depth: usize) -> usize {
         let general = self.cluster.depth_histogram_general();
         let short = self.cluster.depth_histogram_short();
-        match self.scope_kind {
-            ScopeKind::Whole => general.count_at_most(depth) + short.count_at_most(depth),
-            ScopeKind::General => general.count_at_most(depth),
-            ScopeKind::ShortReserved => short.count_at_most(depth),
-            ScopeKind::Custom => self
-                .custom_range()
-                .filter(|&id| self.queue_depth(id) <= depth)
-                .count(),
+        match self.scope {
+            Scope::Whole => general.count_at_most(depth) + short.count_at_most(depth),
+            Scope::General => general.count_at_most(depth),
+            Scope::ShortReserved => short.count_at_most(depth),
         }
     }
 
@@ -771,72 +705,6 @@ impl Scheduler for SplitCluster {
     }
 }
 
-/// The legacy data-driven policy record is itself a [`Scheduler`], so
-/// existing [`SchedulerConfig`]-based code keeps running on the trait
-/// driver unchanged.
-impl Scheduler for SchedulerConfig {
-    fn name(&self) -> String {
-        self.name.to_string()
-    }
-
-    fn short_partition_fraction(&self) -> f64 {
-        self.short_partition_fraction
-    }
-
-    fn route(&self, class: JobClass) -> Route {
-        match class {
-            JobClass::Long => self.long_route,
-            JobClass::Short => self.short_route,
-        }
-    }
-
-    fn probe_targets(
-        &self,
-        view: &PlacementView<'_>,
-        tasks: usize,
-        rng: &mut SimRng,
-    ) -> Vec<ServerId> {
-        ProbePlanner::new(self.probe_ratio).targets_in_view(view, tasks, rng)
-    }
-
-    fn probe_targets_into(
-        &self,
-        view: &PlacementView<'_>,
-        tasks: usize,
-        rng: &mut SimRng,
-        out: &mut Vec<ServerId>,
-    ) {
-        ProbePlanner::new(self.probe_ratio).targets_in_view_into(view, tasks, rng, out);
-    }
-
-    fn steal(&self) -> Option<StealSpec> {
-        self.steal_cap.map(|cap| StealSpec {
-            cap,
-            granularity: self.steal_granularity,
-        })
-    }
-
-    fn pick_victims_into(
-        &self,
-        partition: &Partition,
-        thief: ServerId,
-        rng: &mut SimRng,
-        scratch: &mut Vec<usize>,
-        out: &mut Vec<ServerId>,
-    ) {
-        match self.steal_cap {
-            Some(cap) => {
-                StealPolicy::new(cap).pick_victims_into(partition, thief, rng, scratch, out)
-            }
-            None => out.clear(),
-        }
-    }
-
-    fn bounce_probe(&self, server: &Server, class: JobClass, bounces: u8) -> bool {
-        class.is_short() && bounces < self.probe_bounce_limit && holds_long_work(server)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -877,7 +745,7 @@ mod tests {
     }
 
     #[test]
-    fn hawk_variant_names_match_legacy_configs() {
+    fn hawk_variant_names_are_stable() {
         assert_eq!(
             Hawk::new(0.2)
                 .steal_granularity(StealGranularity::RandomBlockedEntry)
@@ -923,17 +791,82 @@ mod tests {
         assert!(split.steal().is_none());
     }
 
+    /// Checks every query of a view over each [`Scope`] against a linear
+    /// scan of the live ids in that scope's range, reading depth and
+    /// idleness from the servers themselves rather than the indexes.
+    fn assert_views_match_scan(cluster: &Cluster) {
+        for scope in [Scope::Whole, Scope::General, Scope::ShortReserved] {
+            let (start, len) = scope.range(&cluster.partition());
+            let live: Vec<ServerId> = (start..start + len as u32)
+                .map(ServerId)
+                .filter(|&id| !cluster.is_down(id))
+                .collect();
+            let depth = |id: ServerId| {
+                let s = cluster.server(id);
+                s.queue_len() + usize::from(!s.is_free())
+            };
+            let view = PlacementView::new(cluster, scope);
+            assert_eq!(view.scope_len(), live.len(), "{scope:?}");
+            for (rank, &id) in live.iter().enumerate() {
+                assert_eq!(view.server_in_scope(rank), id, "{scope:?} rank {rank}");
+            }
+            let idle = live.iter().filter(|&&id| depth(id) == 0).count();
+            assert_eq!(view.idle_count(), idle, "{scope:?}");
+            assert_eq!(view.has_idle(), idle > 0, "{scope:?}");
+            assert_eq!(
+                view.min_queue_depth(),
+                live.iter().map(|&id| depth(id)).min(),
+                "{scope:?}"
+            );
+            for d in 0..=4 {
+                let at_most = live.iter().filter(|&&id| depth(id) <= d).count();
+                assert_eq!(view.count_with_depth_at_most(d), at_most, "{scope:?} {d}");
+            }
+        }
+    }
+
     #[test]
-    fn legacy_config_bridges_to_the_trait() {
-        let cfg = SchedulerConfig::hawk(0.17);
-        let as_trait: &dyn Scheduler = &cfg;
-        assert_eq!(as_trait.name(), "hawk");
-        assert_eq!(as_trait.short_partition_fraction(), 0.17);
-        assert_eq!(
-            as_trait.route(JobClass::Long),
-            Route::Central(Scope::General)
-        );
-        assert_eq!(as_trait.steal().unwrap().cap, 10);
+    fn placement_view_aggregates_match_a_linear_scan() {
+        use hawk_cluster::{QueueEntry, TaskSpec};
+        use hawk_simcore::SimDuration;
+        use hawk_workload::JobId;
+
+        // 15 general + 5 short-reserved servers.
+        let mut cluster = Cluster::new(20, 0.25);
+        assert_eq!(Scope::Whole.range(&cluster.partition()), (0, 20));
+        assert_eq!(Scope::General.range(&cluster.partition()), (0, 15));
+        assert_eq!(Scope::ShortReserved.range(&cluster.partition()), (15, 5));
+
+        // Server i holds i % 6 tasks (one running, the rest queued):
+        // depths 0..=5 in both partitions; every third task is long.
+        let mut job = 0;
+        for i in 0..20u32 {
+            for _ in 0..i % 6 {
+                let class = if job % 3 == 0 {
+                    JobClass::Long
+                } else {
+                    JobClass::Short
+                };
+                let spec = TaskSpec {
+                    job: JobId(job),
+                    duration: SimDuration::from_secs(10),
+                    estimate: SimDuration::from_secs(10),
+                    class,
+                    task: 0,
+                    attempt: 0,
+                };
+                cluster.enqueue(ServerId(i), QueueEntry::Task(spec));
+                job += 1;
+            }
+        }
+        assert_views_match_scan(&cluster);
+
+        // Two down servers per partition, one idle and one busy in each.
+        let mut drained = Vec::new();
+        for id in [0, 4, 16, 18] {
+            assert!(cluster.fail_server(ServerId(id), &mut drained));
+        }
+        assert_views_match_scan(&cluster);
     }
 
     #[test]

@@ -18,15 +18,15 @@ use crate::runtime::{run_prototype, ExecutionMode, ProtoConfig};
 ///
 /// [`SimConfig`] maps onto the prototype as follows: `nodes` → worker
 /// daemons, `cutoff`/`seed`/`util_interval`/`dynamics`/`speeds`/
-/// `admission` carry over directly, and the config's network topology
-/// ([`SimConfig::topology_spec`] — the flat constant model unless
-/// `.topology(..)` selected a fat tree) becomes the virtual router's
-/// message-delay model (ignored in real-time mode, where messaging
-/// latency is whatever the machine provides). Fields the execution model
-/// cannot honour are rejected or ignored:
+/// `admission` carry over directly, and [`SimConfig::topology`] (the
+/// flat constant model unless `.topology(..)` selected a fat tree)
+/// becomes the virtual router's message-delay model (ignored in real-time
+/// mode, where messaging latency is whatever the machine provides).
+/// Fields the execution model cannot honour are rejected or ignored:
 ///
-/// * `misestimate` must be `None` — the prototype runs exact estimates
-///   (panics otherwise rather than silently diverging);
+/// * `misestimate` must be `None` — the prototype runs exact estimates —
+///   and `live_window` must be `None` — the prototype records no live
+///   windows; either panics rather than silently diverging;
 /// * `central_overhead` is ignored: the central daemon is a real thread
 ///   (or a real mailbox) whose processing cost is whatever it actually
 ///   costs.
@@ -112,8 +112,9 @@ impl ProtoBackend {
     /// The [`ProtoConfig`] a given [`SimConfig`] maps to.
     pub fn config_for(&self, sim: &SimConfig) -> ProtoConfig {
         assert!(
-            sim.misestimate.is_none(),
-            "the prototype backend runs exact estimates; drop `.misestimate(..)`"
+            sim.misestimate.is_none() && sim.live_window.is_none(),
+            "the prototype backend runs exact estimates and records no live windows; \
+             drop `.misestimate(..)` and `.live_window(..)`"
         );
         ProtoConfig {
             workers: sim.nodes,
@@ -125,7 +126,7 @@ impl ProtoBackend {
                 ExecutionMode::RealTime
             } else {
                 ExecutionMode::Virtual {
-                    topology: sim.topology_spec(),
+                    topology: sim.topology,
                 }
             },
             dynamics: sim.dynamics.clone(),
@@ -221,6 +222,16 @@ mod tests {
         use hawk_workload::classify::MisestimateRange;
         let sim = SimConfig {
             misestimate: Some(MisestimateRange::symmetric(0.5)),
+            ..SimConfig::default()
+        };
+        ProtoBackend::deterministic().config_for(&sim);
+    }
+
+    #[test]
+    #[should_panic(expected = "no live windows")]
+    fn live_window_is_rejected() {
+        let sim = SimConfig {
+            live_window: Some(SimDuration::from_secs(60)),
             ..SimConfig::default()
         };
         ProtoBackend::deterministic().config_for(&sim);

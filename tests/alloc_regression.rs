@@ -83,7 +83,7 @@ fn steady_state_window(scheduler: Arc<dyn Scheduler>, name: &str) {
         name,
         DynamicsScript::none(),
         SpeedSpec::Uniform,
-        None,
+        TopologySpec::paper_default(),
     );
 }
 
@@ -92,7 +92,7 @@ fn steady_state_window_with(
     name: &str,
     dynamics: DynamicsScript,
     speeds: SpeedSpec,
-    topology: Option<TopologySpec>,
+    topology: TopologySpec,
 ) {
     let sim = SimConfig {
         nodes: 300,
@@ -178,7 +178,7 @@ fn hawk_churn_steady_state_event_loop_allocates_nothing() {
         "hawk-churn",
         dynamics,
         speeds,
-        None,
+        TopologySpec::paper_default(),
     );
 }
 
@@ -220,6 +220,6 @@ fn hawk_contended_fat_tree_steady_state_allocates_nothing() {
         "hawk-fat-tree-contended",
         DynamicsScript::none(),
         SpeedSpec::Uniform,
-        Some(TopologySpec::FatTreeContended(FatTreeParams::default())),
+        TopologySpec::FatTreeContended(FatTreeParams::default()),
     );
 }

@@ -18,7 +18,6 @@
 
 use std::sync::Arc;
 
-use hawk_cluster::NetworkModel;
 use hawk_core::scheduler::{Centralized, Hawk, Scheduler, Sparrow, SplitCluster};
 use hawk_core::{AdmissionPolicy, Experiment, FatTreeParams, MetricsReport, TopologySpec};
 use hawk_simcore::{SimDuration, SimTime};
@@ -85,14 +84,14 @@ fn identity_speeds(variant: usize) -> SpeedSpec {
     }
 }
 
-/// The distinct spellings of "the flat paper network": topology left
-/// unset (the driver defaults to `Constant` from `SimConfig::network`)
-/// or selected explicitly. Both must be byte-identical to the pins —
-/// the topology seam is pure plumbing until a fat tree turns it on.
+/// The distinct spellings of "the flat paper network": `.topology(..)`
+/// never called (the `SimConfig` default) or the paper default selected
+/// explicitly. Both must be byte-identical to the pins — the topology
+/// seam is pure plumbing until a fat tree turns it on.
 fn identity_topology(variant: usize) -> Option<TopologySpec> {
     match variant {
         0 => None,
-        1 => Some(TopologySpec::Constant(NetworkModel::paper_default())),
+        1 => Some(TopologySpec::paper_default()),
         _ => unreachable!(),
     }
 }
